@@ -204,27 +204,10 @@ impl<P: ControlPlane + 'static> RbNetwork<P> {
         self.shared.initial_source
     }
 
-    /// A non-destructive snapshot of every node's external-event log so
-    /// far, in the same shape [`into_recording`](Self::into_recording)
-    /// collects at the end of a run (pre-sort). Lets a streaming store
-    /// writer persist externals while the run is still in flight.
-    pub fn externals_so_far(&self) -> Vec<ExtRecord<P::Ext>> {
-        let mut externals = Vec::new();
-        for i in 0..self.sim.node_count() {
-            let node = NodeId(i as u32);
-            for e in self.sim.process(node).ext_log() {
-                externals.push(ExtRecord {
-                    node,
-                    ext_seq: e.ext_seq,
-                    group: e.group,
-                    payload: e.payload.clone(),
-                });
-            }
-        }
-        externals
-    }
-
-    /// Per-node committed delivery logs (committed + live entries).
+    /// Per-node committed delivery logs (committed + live entries). Clones
+    /// and digests every entry: for end-of-run extraction and tests, not
+    /// for polling a run in flight ([`RbShim::ticks_from`] is the
+    /// incremental reader).
     pub fn commit_logs(&self) -> Vec<Vec<CommitRecord>> {
         (0..self.sim.node_count())
             .map(|i| self.sim.process(NodeId(i as u32)).commit_records())

@@ -18,7 +18,7 @@
 use crate::config::{CapturePolicy, DefinedConfig};
 use crate::metrics::RbMetrics;
 use defined_obs as obs;
-use crate::order::{debug_digest, Annotation, MsgId, OrderKey};
+use crate::order::{debug_digest, Annotation, EventClass, MsgId, OrderKey};
 use crate::recorder::CommitRecord;
 use crate::snapshot::NodeSnapshot;
 use checkpoint::{Checkpointer, Snapshotable};
@@ -165,6 +165,28 @@ pub struct CheckpointSample {
     pub dirty_pages: usize,
 }
 
+/// A reader's position in one shim's delivered stream (`committed ++
+/// history`), held across [`RbShim::ticks_from`] calls so the stream is
+/// consumed incrementally instead of rescanned.
+///
+/// A cursor is only as good as the prefix behind it is final: the caller
+/// must bound every walk by a frontier below which no straggler or
+/// anti-message can land (the GVT margin), and must start over from
+/// [`Default`] when the node restarts — the shim it pointed into is gone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeliveredCursor {
+    at: usize,
+    /// Key of the last entry passed; debug builds check it is still there.
+    last: Option<OrderKey>,
+}
+
+impl DeliveredCursor {
+    /// Entries passed so far.
+    pub fn position(&self) -> usize {
+        self.at
+    }
+}
+
 /// Cap on retained cost samples per node.
 const SAMPLE_CAP: usize = 20_000;
 
@@ -289,6 +311,54 @@ impl<P: ControlPlane> RbShim<P> {
         let mut out = self.committed.clone();
         out.extend(self.history.iter().map(|e| Self::record_of(e)));
         out
+    }
+
+    /// Length of the delivered stream: committed records plus live entries.
+    pub fn delivered_len(&self) -> usize {
+        self.committed.len() + self.history.len()
+    }
+
+    fn delivered_at(&self, i: usize) -> Option<(OrderKey, &Annotation)> {
+        match self.committed.get(i) {
+            Some(r) => Some((r.key, &r.ann)),
+            None => self.history.get(i - self.committed.len()).map(|e| (e.key, &e.ann)),
+        }
+    }
+
+    /// Walks the delivered stream forward from `cursor` over every entry
+    /// in groups `<= upto`, reporting each beacon tick passed as
+    /// `tick(group, announcing source)`, and returns where it stopped. The
+    /// stream is key-sorted and keys are group-major, so the entries at or
+    /// below `upto` are exactly a prefix; nothing is cloned or digested.
+    ///
+    /// Cost is the entries passed plus one. An error from `tick` aborts the
+    /// walk and is returned as is.
+    pub fn ticks_from<E>(
+        &self,
+        cursor: DeliveredCursor,
+        upto: u64,
+        mut tick: impl FnMut(u64, NodeId) -> Result<(), E>,
+    ) -> Result<DeliveredCursor, E> {
+        debug_assert!(
+            cursor.at.checked_sub(1).and_then(|i| self.delivered_at(i)).map(|(k, _)| k)
+                == cursor.last,
+            "node {}: the delivered prefix changed behind a cursor at {} — an entry at or \
+             below a drained frontier was inserted or removed",
+            self.me,
+            cursor.at,
+        );
+        let mut c = cursor;
+        while let Some((key, ann)) = self.delivered_at(c.at) {
+            if ann.group > upto {
+                break;
+            }
+            debug_assert!(c.last.is_none_or(|l| l <= key), "delivered stream out of key order");
+            if ann.class == EventClass::Beacon {
+                tick(ann.group, ann.origin)?;
+            }
+            c = DeliveredCursor { at: c.at + 1, last: Some(key) };
+        }
+        Ok(c)
     }
 
     /// Recorded external inputs at this node.
@@ -985,6 +1055,13 @@ impl<P: ControlPlane> Process for RbShim<P> {
         let group = self.snap.current_group + 1;
         let seq = self.ext_seq;
         self.ext_seq += 1;
+        // Virtual time never runs backwards at a node, so the log is
+        // group-sorted — what lets a reader consume it by cursor.
+        debug_assert!(
+            self.ext_log.last().is_none_or(|l| l.group <= group),
+            "node {}: external tagged group {group} after one tagged later",
+            self.me,
+        );
         self.ext_log.push(ExtLogEntry { ext_seq: seq, group, payload: ev.clone() });
         let ann = Annotation::external(self.me, group, seq);
         self.insert_arrival(ctx, ann, None, LocalEvent::External(ev));

@@ -102,10 +102,17 @@ impl<X: Clone> Recording<X> {
 impl<X: Wire> ExtRecord<X> {
     /// Appends the wire encoding of this record.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.node.0);
-        put_u64(buf, self.ext_seq);
-        put_u64(buf, self.group);
-        self.payload.encode(buf);
+        Self::encode_fields(self.node, self.ext_seq, self.group, &self.payload, buf);
+    }
+
+    /// [`encode`](Self::encode) from borrowed fields, for a caller that
+    /// holds the payload elsewhere and should not clone it into a record
+    /// just to serialise it.
+    pub fn encode_fields(node: NodeId, ext_seq: u64, group: u64, payload: &X, buf: &mut Vec<u8>) {
+        put_u32(buf, node.0);
+        put_u64(buf, ext_seq);
+        put_u64(buf, group);
+        payload.encode(buf);
     }
 
     /// Decodes one record, advancing the reader.

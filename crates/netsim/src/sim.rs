@@ -94,6 +94,8 @@ enum Ev<M, X> {
 struct NodeSlot<P> {
     process: P,
     up: bool,
+    /// Times this node was respawned by a `NodeAdmin { up: true }`.
+    restarts: u32,
     rng: DetRng,
 }
 
@@ -142,6 +144,7 @@ impl SimBuilder {
             .map(|i| NodeSlot {
                 process: spawn(NodeId(i as u32)),
                 up: true,
+                restarts: 0,
                 rng: DetRng::new(NODE_SEED_BASE | i as u64),
             })
             .collect();
@@ -213,6 +216,14 @@ impl<P: Process> Simulator<P> {
     /// Whether the node is administratively up.
     pub fn node_up(&self, id: NodeId) -> bool {
         self.nodes[id.index()].up
+    }
+
+    /// How many times the node has been restarted with a fresh process
+    /// (see [`schedule_node_admin`](Self::schedule_node_admin)). Anything
+    /// that holds a position into a process's state across events must
+    /// discard it when this moves: the process it pointed into is gone.
+    pub fn node_restarts(&self, id: NodeId) -> u32 {
+        self.nodes[id.index()].restarts
     }
 
     /// Whether the directed link is present and administratively up.
@@ -431,8 +442,10 @@ impl<P: Process> Simulator<P> {
                 Ev::NodeAdmin { node, up } => {
                     self.trace.record(self.now, TraceKind::NodeChange { node, up });
                     if up {
-                        self.nodes[node.index()].up = true;
-                        self.nodes[node.index()].process = (self.spawn)(node);
+                        let slot = &mut self.nodes[node.index()];
+                        slot.up = true;
+                        slot.restarts += 1;
+                        slot.process = (self.spawn)(node);
                         self.with_ctx(node, |p, ctx| p.on_start(ctx));
                     } else {
                         self.nodes[node.index()].up = false;
@@ -841,6 +854,8 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert!(sim.node_up(NodeId(1)));
         assert!(sim.process(NodeId(1)).pings.is_empty(), "restart spawns fresh state");
+        assert_eq!(sim.node_restarts(NodeId(1)), 1, "the respawn is counted");
+        assert_eq!(sim.node_restarts(NodeId(0)), 0, "untouched nodes count none");
     }
 
     #[test]

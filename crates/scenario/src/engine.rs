@@ -3,21 +3,21 @@
 //! dispatch is generic over [`ControlPlane`].
 
 use crate::spec::{ExtSpec, Fault, Probe, ProtocolSpec};
+use crate::stream::StoreStreamer;
 use crate::{Scenario, ScenarioError};
 use defined_core::bisect::{localise_fault_farm, BisectReport};
 use defined_core::debugger::Debugger;
 use defined_core::explore::ordering_survey_farm;
 use defined_core::farm::JobPanic;
-use defined_core::gvt::{gvt_estimate, GvtMonitor};
+use defined_core::gvt::GvtMonitor;
 use defined_core::ls::first_divergence;
-use defined_core::recorder::{trim_log, CommitRecord, Recording, TickRecord};
+use defined_core::recorder::{trim_log, CommitRecord, Recording};
 use defined_core::session::DebugSession;
 use defined_core::wire::Wire;
-use defined_core::{DefinedConfig, EventClass, FarmConfig, LockstepNet, RbNetwork};
+use defined_core::{DefinedConfig, FarmConfig, LockstepNet, RbNetwork};
 use defined_obs as obs;
-use defined_store::{FileIo, FsyncPolicy, StoreError, StoreMeta, StoreWriter};
+use defined_store::{FileIo, StoreError, StoreMeta};
 use netsim::{NodeId, SimTime};
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use routing::bgp::{BgpExt, BgpProcess};
 use routing::ospf::OspfProcess;
@@ -104,14 +104,14 @@ impl GvtReport {
     }
 }
 
-fn ext_to_rip(ev: &ExtSpec) -> Option<RipExt> {
+pub(crate) fn ext_to_rip(ev: &ExtSpec) -> Option<RipExt> {
     match ev {
         ExtSpec::RipConnect { prefix } => Some(RipExt::Connect { prefix: *prefix }),
         _ => None,
     }
 }
 
-fn ext_to_bgp(ev: &ExtSpec) -> Option<BgpExt> {
+pub(crate) fn ext_to_bgp(ev: &ExtSpec) -> Option<BgpExt> {
     match ev {
         ExtSpec::BgpAnnounce { prefix, attrs } => {
             Some(BgpExt::Announce { prefix: *prefix, attrs: *attrs })
@@ -123,7 +123,7 @@ fn ext_to_bgp(ev: &ExtSpec) -> Option<BgpExt> {
     }
 }
 
-fn ext_to_ospf(_ev: &ExtSpec) -> Option<()> {
+pub(crate) fn ext_to_ospf(_ev: &ExtSpec) -> Option<()> {
     None // OSPF takes no runtime externals; validation rejects them.
 }
 
@@ -190,128 +190,6 @@ where
     Ok(rec)
 }
 
-/// Streams a production run's recording into an on-disk store *while the
-/// run is in flight*, so a crash mid-run loses at most one inter-sync
-/// window instead of the whole recording.
-///
-/// Only committed state is durable: the drain frontier trails the GVT
-/// bound by a safety margin, so every streamed frame is below the
-/// rollback floor and can never be invalidated by a later Time-Warp
-/// rewind. Frames the frontier never reached are appended at
-/// [`finish`](Self::finish) from the final canonical recording.
-struct StoreStreamer<X: Wire> {
-    w: StoreWriter<X, FileIo>,
-    /// Streamed externals, keyed `(node, ext_seq)`, valued by group — the
-    /// value lets [`finish`](Self::finish) detect a streamed frame the
-    /// canonical recording no longer contains.
-    seen_ext: HashMap<(NodeId, u64), u64>,
-    /// Streamed ticks, keyed `(node, group)`, valued by beacon source.
-    seen_ticks: HashMap<(NodeId, u64), NodeId>,
-    frontier: u64,
-}
-
-impl<X: Wire> StoreStreamer<X> {
-    fn create(path: &Path, meta: &StoreMeta) -> Result<Self, StoreError> {
-        let io = FileIo::create(path)?;
-        Ok(StoreStreamer {
-            w: StoreWriter::create(io, meta, FsyncPolicy::OnSync)?,
-            seen_ext: HashMap::new(),
-            seen_ticks: HashMap::new(),
-            frontier: 0,
-        })
-    }
-
-    /// Persists everything newly committed since the last drain and
-    /// declares it durable with a sync point.
-    fn drain<P>(&mut self, net: &RbNetwork<P>) -> Result<(), StoreError>
-    where
-        P: ControlPlane<Ext = X> + 'static,
-    {
-        let f = gvt_estimate(net).saturating_sub(2);
-        if f <= self.frontier {
-            return Ok(());
-        }
-        for e in net.externals_so_far() {
-            if e.group <= f && self.seen_ext.insert((e.node, e.ext_seq), e.group).is_none() {
-                self.w.append_ext(&e)?;
-            }
-        }
-        for (i, log) in net.commit_logs().iter().enumerate() {
-            let node = NodeId(i as u32);
-            for r in log {
-                if r.ann.class == EventClass::Beacon
-                    && r.ann.group <= f
-                    && self.seen_ticks.insert((node, r.ann.group), r.ann.origin).is_none()
-                {
-                    self.w.append_tick(&TickRecord {
-                        node,
-                        group: r.ann.group,
-                        source: r.ann.origin,
-                    })?;
-                }
-            }
-        }
-        self.frontier = f;
-        self.w.sync_point(f)
-    }
-
-    /// Appends whatever the streaming frontier never reached — straggler
-    /// externals and ticks, the drops and death cuts (only knowable at
-    /// finalisation) — then closes the store with the commit logs.
-    ///
-    /// One wrinkle: a node restart discards that node's pre-crash
-    /// committed log (DESIGN.md §7), so frames this streamer durably wrote
-    /// mid-run can be absent from the final canonical recording. The file
-    /// is append-only, so when that happens the streamed content is
-    /// retracted with a [`StoreWriter::reset`] tombstone and the canonical
-    /// recording is appended whole — the finished store always opens to
-    /// exactly `rec`, while a torn (pre-finish) file still recovers the
-    /// streamed prefix, which was committed truth at the time it synced.
-    fn finish(
-        mut self,
-        rec: &Recording<X>,
-        commits: &[Vec<CommitRecord>],
-        upto: u64,
-    ) -> Result<(), StoreError> {
-        let rec_ext: HashSet<(NodeId, u64, u64)> =
-            rec.externals.iter().map(|e| (e.node, e.ext_seq, e.group)).collect();
-        let rec_ticks: HashSet<(NodeId, u64, NodeId)> =
-            rec.ticks.iter().map(|t| (t.node, t.group, t.source)).collect();
-        // Ticks past `last_group` are dropped on open regardless, so only
-        // in-range stragglers count as superseded.
-        let superseded = self
-            .seen_ext
-            .iter()
-            .any(|(&(node, seq), &group)| !rec_ext.contains(&(node, seq, group)))
-            || self.seen_ticks.iter().any(|(&(node, group), &source)| {
-                group <= rec.last_group && !rec_ticks.contains(&(node, group, source))
-            });
-        if superseded {
-            self.w.reset()?;
-            self.seen_ext.clear();
-            self.seen_ticks.clear();
-        }
-        for e in &rec.externals {
-            if !self.seen_ext.contains_key(&(e.node, e.ext_seq)) {
-                self.w.append_ext(e)?;
-            }
-        }
-        for t in &rec.ticks {
-            if !self.seen_ticks.contains_key(&(t.node, t.group)) {
-                self.w.append_tick(t)?;
-            }
-        }
-        for d in &rec.drops {
-            self.w.append_drop(d)?;
-        }
-        for m in &rec.mutes {
-            self.w.append_mute(m)?;
-        }
-        self.w.finish(rec.last_group, upto, commits)?;
-        Ok(())
-    }
-}
-
 impl Scenario {
     /// Checks the description for internal consistency: node and link
     /// references resolve in the topology, injections fit the protocol,
@@ -324,7 +202,7 @@ impl Scenario {
     /// Validates the topology parameters, builds the graph, and validates
     /// the rest of the scenario against it — the one entry point every run
     /// path shares, so no untrusted spec reaches a generator panic.
-    fn checked_build(&self) -> Result<Graph, ScenarioError> {
+    pub(crate) fn checked_build(&self) -> Result<Graph, ScenarioError> {
         self.topology.check().map_err(ScenarioError::Invalid)?;
         let g = self.topology.build();
         self.validate_on(&g)?;
@@ -577,34 +455,20 @@ impl Scenario {
         }
     }
 
-    /// Builds the RB-instrumented production network, applies the workload
-    /// and fault schedule, runs to the deadline, and extracts the recording.
-    fn record_typed<P>(
+    /// Builds the RB-instrumented production network with the workload and
+    /// fault schedule applied, ready to run.
+    pub(crate) fn production_net<P>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         conv: impl Fn(&ExtSpec) -> Option<P::Ext>,
-        outcome: impl FnOnce(&RbNetwork<P>) -> Option<String>,
-        store: Option<&Path>,
-    ) -> Result<RecordedRun, ScenarioError>
+    ) -> Result<RbNetwork<P>, ScenarioError>
     where
         P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
     {
         let mut net = RbNetwork::new(g, self.run_config(), self.seed, self.jitter_frac, {
             move |id: NodeId| procs[id.index()].clone()
         });
-        let mut streamer = match store {
-            Some(path) => {
-                let meta = StoreMeta {
-                    n_nodes: g.node_count(),
-                    source: net.initial_source(),
-                    scenario: self.name.clone(),
-                };
-                Some(StoreStreamer::create(path, &meta)?)
-            }
-            None => None,
-        };
         for inj in &self.workload {
             let ev = conv(&inj.ev).ok_or_else(|| {
                 ScenarioError::Invalid(format!("injection {:?} does not fit the protocol", inj.ev))
@@ -628,21 +492,66 @@ impl Scenario {
                 }
             }
         }
-        // Run in beacon-sized slices, sampling the GVT bound at each — the
-        // simulator is a pure event pump, so incremental `run_until` calls
-        // commit the identical execution as one call to the deadline.
+        Ok(net)
+    }
+
+    /// What a store of this scenario's run on `net` declares about itself.
+    pub(crate) fn store_meta<P: ControlPlane + 'static>(&self, net: &RbNetwork<P>) -> StoreMeta {
+        StoreMeta {
+            n_nodes: net.graph().node_count(),
+            source: net.initial_source(),
+            scenario: self.name.clone(),
+        }
+    }
+
+    /// Runs `net` to the scenario's deadline in beacon-sized slices,
+    /// calling `each` after every slice — the simulator is a pure event
+    /// pump, so incremental `run_until` calls commit the identical
+    /// execution as one call to the deadline.
+    pub(crate) fn run_sliced<P: ControlPlane + 'static>(
+        &self,
+        net: &mut RbNetwork<P>,
+        mut each: impl FnMut(&RbNetwork<P>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         let end = SimTime::ZERO + self.duration;
         let slice = DefinedConfig::default().beacon_interval * 4;
-        let mut monitor = GvtMonitor::new();
         let mut t = SimTime::ZERO;
         while t < end {
             t = (t + slice).min(end);
             net.run_until(t);
-            monitor.observe(&net);
-            if let Some(s) = streamer.as_mut() {
-                s.drain(&net)?;
-            }
+            each(net)?;
         }
+        Ok(())
+    }
+
+    /// Runs the production network to the deadline — sampling the GVT
+    /// bound and draining into the store, if any, at every slice — and
+    /// extracts the recording.
+    fn record_typed<P>(
+        &self,
+        g: &Graph,
+        procs: Vec<P>,
+        conv: impl Fn(&ExtSpec) -> Option<P::Ext>,
+        outcome: impl FnOnce(&RbNetwork<P>) -> Option<String>,
+        store: Option<&Path>,
+    ) -> Result<RecordedRun, ScenarioError>
+    where
+        P: ControlPlane + Clone + 'static,
+        P::Ext: Wire,
+    {
+        let mut net = self.production_net(g, procs, conv)?;
+        let mut streamer = match store {
+            Some(path) => {
+                let io = FileIo::create(path).map_err(StoreError::from)?;
+                Some(StoreStreamer::create(io, &self.store_meta(&net))?)
+            }
+            None => None,
+        };
+        let mut monitor = GvtMonitor::new();
+        self.run_sliced(&mut net, |net| {
+            monitor.observe(net);
+            streamer.as_mut().map_or(Ok(()), |s| s.drain(net))
+        })?;
         let outcome = outcome(&net);
         let upto = net.completed_group(2);
         // Publish the production run's rollback tallies as gauge-style

@@ -53,6 +53,7 @@ mod engine;
 pub mod registry;
 pub mod scn;
 pub mod spec;
+mod stream;
 
 pub use engine::{BisectSummary, ExploreReport, RecordedRun, VerifyReport};
 pub use registry::{bgp_fig4_processes, find, ospf_processes, registry, rip_processes};

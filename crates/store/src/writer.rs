@@ -5,6 +5,7 @@ use crate::io::StoreIo;
 use defined_core::recorder::{CommitRecord, DropByIndex, ExtRecord, MuteRecord, Recording, TickRecord};
 use defined_core::wire::Wire;
 use defined_obs as obs;
+use netsim::NodeId;
 use routing::enc::{put_u32, put_u64, put_u8};
 use std::marker::PhantomData;
 
@@ -37,6 +38,8 @@ pub struct StoreWriter<X, Io: StoreIo> {
     n_ticks: u64,
     last_sync: u64,
     tombstoned: bool,
+    /// The one frame under construction, reused from frame to frame.
+    buf: Vec<u8>,
     _ext: PhantomData<fn() -> X>,
 }
 
@@ -55,53 +58,57 @@ impl<X: Wire, Io: StoreIo> StoreWriter<X, Io> {
             n_ticks: 0,
             last_sync: 0,
             tombstoned: false,
+            buf: Vec::new(),
             _ext: PhantomData,
         };
         let mut header = Vec::with_capacity(crate::format::HEADER_LEN);
         encode_header(&mut header);
         w.io.write_all(&header)?;
         obs::counter!("store.bytes_written").add(header.len() as u64);
-        let mut payload = Vec::new();
-        meta.encode(&mut payload);
-        w.frame(kind::META, &payload)?;
+        w.frame(kind::META, |buf| meta.encode(buf))?;
         w.sync_point(0)?;
         Ok(w)
     }
 
     /// Appends one external event.
     pub fn append_ext(&mut self, e: &ExtRecord<X>) -> Result<(), StoreError> {
-        let mut payload = Vec::new();
-        e.encode(&mut payload);
+        self.append_ext_fields(e.node, e.ext_seq, e.group, &e.payload)
+    }
+
+    /// [`append_ext`](Self::append_ext) from borrowed fields: the streaming
+    /// path reads payloads straight out of the nodes' logs and must not
+    /// clone one into an [`ExtRecord`] per frame.
+    pub fn append_ext_fields(
+        &mut self,
+        node: NodeId,
+        ext_seq: u64,
+        group: u64,
+        payload: &X,
+    ) -> Result<(), StoreError> {
         self.data_frames += 1;
         self.n_ext += 1;
-        self.frame(kind::EXT, &payload)
+        self.frame(kind::EXT, |buf| ExtRecord::encode_fields(node, ext_seq, group, payload, buf))
     }
 
     /// Appends one committed message loss.
     pub fn append_drop(&mut self, d: &DropByIndex) -> Result<(), StoreError> {
-        let mut payload = Vec::new();
-        d.encode(&mut payload);
         self.data_frames += 1;
         self.n_drops += 1;
-        self.frame(kind::DROP, &payload)
+        self.frame(kind::DROP, |buf| d.encode(buf))
     }
 
     /// Appends one death cut.
     pub fn append_mute(&mut self, m: &MuteRecord) -> Result<(), StoreError> {
-        let mut payload = Vec::new();
-        m.encode(&mut payload);
         self.data_frames += 1;
         self.n_mutes += 1;
-        self.frame(kind::MUTE, &payload)
+        self.frame(kind::MUTE, |buf| m.encode(buf))
     }
 
     /// Appends one delivered beacon tick.
     pub fn append_tick(&mut self, t: &TickRecord) -> Result<(), StoreError> {
-        let mut payload = Vec::new();
-        t.encode(&mut payload);
         self.data_frames += 1;
         self.n_ticks += 1;
-        self.frame(kind::TICK, &payload)
+        self.frame(kind::TICK, |buf| t.encode(buf))
     }
 
     /// Writes a sync point declaring everything up to and including
@@ -111,12 +118,19 @@ impl<X: Wire, Io: StoreIo> StoreWriter<X, Io> {
         debug_assert!(group >= self.last_sync, "sync points must be monotone");
         debug_assert!(!self.tombstoned, "no sync points after a reset tombstone");
         self.last_sync = group;
-        let mut payload = Vec::new();
-        put_u64(&mut payload, group);
-        put_u64(&mut payload, self.data_frames); // Self-check tally.
-        self.frame(kind::SYNC, &payload)?;
+        let data_frames = self.data_frames; // Self-check tally.
+        self.frame(kind::SYNC, |buf| {
+            put_u64(buf, group);
+            put_u64(buf, data_frames);
+        })?;
         obs::counter!("store.sync_points").add(1);
+        self.flush()
+    }
+
+    /// Flushes to durable storage when the policy asks for it.
+    fn flush(&mut self) -> Result<(), StoreError> {
         if self.policy == FsyncPolicy::OnSync {
+            let _span = obs::span!("store.fsync");
             self.io.sync()?;
             obs::counter!("store.fsync").add(1);
         }
@@ -137,7 +151,7 @@ impl<X: Wire, Io: StoreIo> StoreWriter<X, Io> {
     /// Self-check tallies restart from zero; no sync point may follow
     /// (torn-tail recovery must land on a pre-reset prefix).
     pub fn reset(&mut self) -> Result<(), StoreError> {
-        self.frame(kind::RESET, &[])?;
+        self.frame(kind::RESET, |_| {})?;
         self.tombstoned = true;
         self.n_ext = 0;
         self.n_drops = 0;
@@ -160,39 +174,37 @@ impl<X: Wire, Io: StoreIo> StoreWriter<X, Io> {
     ) -> Result<Io, StoreError> {
         assert_eq!(commits.len(), self.n_nodes, "one commit log per node");
         for (node, log) in commits.iter().enumerate() {
-            let mut payload = Vec::new();
-            put_u32(&mut payload, node as u32);
-            put_u64(&mut payload, log.len() as u64);
-            for r in log {
-                r.encode(&mut payload);
-            }
-            self.frame(kind::COMMITS, &payload)?;
+            self.frame(kind::COMMITS, |buf| {
+                put_u32(buf, node as u32);
+                put_u64(buf, log.len() as u64);
+                for r in log {
+                    r.encode(buf);
+                }
+            })?;
         }
-        let mut payload = Vec::new();
-        put_u64(&mut payload, last_group);
-        put_u64(&mut payload, upto);
-        put_u64(&mut payload, self.n_ext);
-        put_u64(&mut payload, self.n_drops);
-        put_u64(&mut payload, self.n_mutes);
-        put_u64(&mut payload, self.n_ticks);
-        self.frame(kind::FINISH, &payload)?;
-        if self.policy == FsyncPolicy::OnSync {
-            self.io.sync()?;
-            obs::counter!("store.fsync").add(1);
-        }
+        let tallies = [last_group, upto, self.n_ext, self.n_drops, self.n_mutes, self.n_ticks];
+        self.frame(kind::FINISH, |buf| tallies.iter().for_each(|&v| put_u64(buf, v)))?;
+        self.flush()?;
         Ok(self.io)
     }
 
     /// Emits one CRC-framed record in a single `write_all`, so injected
     /// per-write faults tear the file exactly at (or inside) one frame.
-    fn frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        let mut buf = Vec::with_capacity(crate::format::FRAME_OVERHEAD + payload.len());
-        put_u8(&mut buf, kind);
-        put_u32(&mut buf, payload.len() as u32);
-        buf.extend_from_slice(payload);
-        let crc = crate::crc::crc32(&buf);
-        put_u32(&mut buf, crc);
-        self.io.write_all(&buf)?;
+    /// `payload` encodes straight into the reused frame buffer, behind a
+    /// length field patched in once the payload's size is known.
+    fn frame(&mut self, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), StoreError> {
+        const LEN_AT: usize = 1;
+        const PAYLOAD_AT: usize = LEN_AT + 4;
+        let buf = &mut self.buf;
+        buf.clear();
+        put_u8(buf, kind);
+        put_u32(buf, 0);
+        payload(buf);
+        let len = (buf.len() - PAYLOAD_AT) as u32;
+        buf[LEN_AT..PAYLOAD_AT].copy_from_slice(&len.to_le_bytes());
+        let crc = crate::crc::crc32(buf);
+        put_u32(buf, crc);
+        self.io.write_all(buf)?;
         obs::counter!("store.bytes_written").add(buf.len() as u64);
         Ok(())
     }

@@ -123,6 +123,8 @@ fn disabled_collection_records_nothing() {
         "ckpt.pool.bytes_deduped",
         "store.bytes_written",
         "store.fsync",
+        "store.drain.frames",
+        "store.drain.scanned",
     ] {
         assert_eq!(
             before.counter(key),
@@ -132,11 +134,13 @@ fn disabled_collection_records_nothing() {
     }
     // The call sites still register their (zeroed) cells — only the
     // recorded counts must stay put.
-    assert_eq!(
-        before.spans.get("ls.wave").map_or(0, |s| s.count),
-        after.spans.get("ls.wave").map_or(0, |s| s.count),
-        "span ls.wave recorded while collection was off"
-    );
+    for span in ["ls.wave", "store.drain", "store.fsync", "store.finish"] {
+        assert_eq!(
+            before.spans.get(span).map_or(0, |s| s.count),
+            after.spans.get(span).map_or(0, |s| s.count),
+            "span {span} recorded while collection was off"
+        );
+    }
 }
 
 /// An enabled run populates the metrics every subsystem contributes —
@@ -160,16 +164,28 @@ fn enabled_collection_covers_the_whole_stack() {
         "store.bytes_written",
         "store.fsync",
         "store.sync_points",
+        "store.drain.frames",
+        "store.drain.scanned",
     ] {
         assert!(
             after.counter(key) > before.counter(key),
             "counter {key} did not advance over a full workflow"
         );
     }
-    assert!(
-        after.spans.get("ls.wave").map_or(0, |s| s.count)
-            > before.spans.get("ls.wave").map_or(0, |s| s.count),
-        "span ls.wave did not record"
+    let spans = |snap: &obs::Snapshot, name: &str| snap.spans.get(name).map_or(0, |s| s.count);
+    for span in ["ls.wave", "store.drain", "store.fsync", "store.finish"] {
+        assert!(spans(&after, span) > spans(&before, span), "span {span} did not record");
+    }
+    // The store write path's spans and counters tell one story: every
+    // fsync is timed, every advancing drain ends in a sync point (the one
+    // other sync point opens the file), and a streamed record finishes once.
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let records = spans(&after, "store.finish") - spans(&before, "store.finish");
+    assert_eq!(records, 1, "run_workflow streams one record");
+    assert_eq!(spans(&after, "store.fsync") - spans(&before, "store.fsync"), delta("store.fsync"));
+    assert_eq!(
+        spans(&after, "store.drain") - spans(&before, "store.drain"),
+        delta("store.sync_points") - records,
     );
     // The page-pool dedup counters move together: every hit saves a page's
     // worth of bytes, so one cannot advance without the other. (Whether any
