@@ -44,12 +44,48 @@ pub use timeline::{RetentionPolicy, Timeline};
 /// FNV-1a digest over bytes; the cheap state-comparison primitive used
 /// throughout the workspace.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental [`fnv1a`]: feeding the same bytes in any number of pieces
+/// yields the one-shot digest. It is a [`std::fmt::Write`] sink, so a
+/// `Debug`/`Display` rendering can be digested without materialising it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The digest of everything fed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A state that can be checkpointed: deep-clonable and round-trippable
@@ -62,6 +98,17 @@ pub trait Snapshotable: Clone {
     ///
     /// Returns `None` on malformed input.
     fn decode(bytes: &[u8]) -> Option<Self>;
+
+    /// Appends the bytes that *determine* the full encoding: for any two
+    /// states of one type, equal primary bytes if and only if equal
+    /// [`Snapshotable::encode`] bytes. A state that carries data derived
+    /// from the rest of itself overrides this to leave the derived part
+    /// (and the cost of bringing it up to date) out, which makes primary
+    /// bytes the cheap way to ask "did the state change?". Not decodable;
+    /// checkpoint images always hold the full encoding.
+    fn encode_primary(&self, buf: &mut Vec<u8>) {
+        self.encode(buf);
+    }
 
     /// A 64-bit digest of the encoded state.
     fn digest(&self) -> u64 {
@@ -78,6 +125,22 @@ mod tests {
     #[test]
     fn fnv_distinguishes() {
         assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+    }
+
+    #[test]
+    fn incremental_fnv_equals_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(700).collect();
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
+        for cut in [0, 1, 7, 256, 699, 700] {
+            let mut h = Fnv1a::default();
+            h.update(&bytes[..cut]);
+            h.update(&bytes[cut..]);
+            assert_eq!(h.finish(), fnv1a(&bytes), "split at {cut}");
+        }
+        use std::fmt::Write;
+        let mut h = Fnv1a::default();
+        write!(h, "{:?}-{}", (1, "a"), 2.5).unwrap();
+        assert_eq!(h.finish(), fnv1a(format!("{:?}-{}", (1, "a"), 2.5).as_bytes()));
     }
 
     #[derive(Clone, Debug, PartialEq)]
@@ -99,6 +162,10 @@ mod tests {
         let mut buf = Vec::new();
         b.encode(&mut buf);
         assert_eq!(Blob::decode(&buf), Some(b.clone()));
+        // A state with nothing derived: its primary bytes are its encoding.
+        let mut primary = Vec::new();
+        b.encode_primary(&mut primary);
+        assert_eq!(primary, buf);
         assert_eq!(b.digest(), Blob(vec![1, 2, 3]).digest());
         assert_ne!(b.digest(), Blob(vec![1, 2, 4]).digest());
     }

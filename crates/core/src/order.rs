@@ -7,7 +7,7 @@
 //! totally ordered [`OrderKey`] every node sorts by.
 
 use crate::config::OrderingMode;
-use checkpoint::fnv1a;
+use checkpoint::{fnv1a, Fnv1a};
 use netsim::NodeId;
 
 /// Globally unique identity of one transmitted message.
@@ -224,13 +224,13 @@ impl Annotation {
 }
 
 /// Mixes a sequence of words into a deterministic 64-bit digest (lineage
-/// chaining).
+/// chaining): FNV-1a over the words' little-endian bytes.
 fn mix(parts: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(parts.len() * 8);
+    let mut h = Fnv1a::default();
     for p in parts {
-        bytes.extend_from_slice(&p.to_le_bytes());
+        h.update(&p.to_le_bytes());
     }
-    fnv1a(&bytes)
+    h.finish()
 }
 
 impl Annotation {
@@ -368,9 +368,14 @@ impl Annotation {
 }
 
 /// FNV digest of a `Debug` rendering; the cheap deterministic payload digest
-/// used in committed-log comparisons.
+/// used in committed-log comparisons. Equals
+/// `fnv1a(format!("{t:?}").as_bytes())`, but the rendering streams through
+/// the hash instead of being materialised.
 pub fn debug_digest<T: std::fmt::Debug>(t: &T) -> u64 {
-    fnv1a(format!("{t:?}").as_bytes())
+    use std::fmt::Write;
+    let mut h = Fnv1a::default();
+    write!(h, "{t:?}").expect("the hash sink never errors");
+    h.finish()
 }
 
 #[cfg(test)]

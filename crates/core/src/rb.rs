@@ -114,6 +114,19 @@ struct Entry<M, X> {
     sends: Vec<SentRec>,
 }
 
+/// One transmitted message, as its history entry remembers it. An entry's
+/// `sends` are in emit order and every send is recorded, so
+/// `sends[i].ann.emit == i`.
+///
+/// Re-delivering an entry matches what the handler regenerates against
+/// these (Time-Warp lazy cancellation): a message identical in
+/// destination, annotation, and payload *keeps* the original wire message,
+/// so no anti-message and no re-send are needed for it. Only the leftovers
+/// — sends the new execution did not reproduce — are unsent. This is what
+/// keeps cascading rollbacks from echoing identical traffic around the
+/// network. Matching is per entry because an annotation's `lineage` chains
+/// its parent entry's identity: a regenerated send can only equal a
+/// retracted send of the entry that is regenerating it.
 #[derive(Clone, Copy, Debug)]
 struct SentRec {
     id: MsgId,
@@ -123,15 +136,6 @@ struct SentRec {
     /// Payload digest (lazy-cancellation matching).
     digest: u64,
 }
-
-/// Sends retracted by a rollback, keyed by content identity. Replay consults
-/// the pool before transmitting: a regenerated message identical in
-/// destination, annotation, and payload *keeps* the original wire message
-/// (Time-Warp lazy cancellation), so no anti-message and no re-send are
-/// needed for it. Only the leftovers — sends the new execution did not
-/// reproduce — are unsent. This is what keeps cascading rollbacks from
-/// echoing identical traffic around the network.
-type LazyPool = BTreeMap<(NodeId, Annotation, u64), Vec<MsgId>>;
 
 /// A recorded external input (consumed by the harness to build a
 /// [`crate::recorder::Recording`]).
@@ -213,11 +217,13 @@ pub struct RbShim<P: ControlPlane> {
     ext_log: Vec<ExtLogEntry<P::Ext>>,
     send_seq: u64,
     incarnation: u32,
-    /// Sends of the entry currently being delivered (moved into the entry).
-    pending_sends: Vec<SentRec>,
-    /// Retracted sends available for lazy-cancellation matching; `Some` only
-    /// while replaying a rollback suffix.
-    lazy_pool: Option<LazyPool>,
+    /// Retracted sends the running rollback's replay did not regenerate,
+    /// awaiting [`RbShim::unsend_leftovers`]; empty between rollbacks.
+    leftovers: Vec<(NodeId, MsgId)>,
+    /// Jump-probe scratch: the primary state bytes before and after the
+    /// straggler, kept for their capacity.
+    probe_pre: Vec<u8>,
+    probe_post: Vec<u8>,
     /// Every message id ever received (duplicate-arrival guard).
     seen_ids: HashSet<MsgId>,
     poison: HashSet<MsgId>,
@@ -262,8 +268,9 @@ impl<P: ControlPlane> RbShim<P> {
             ext_log: Vec::new(),
             send_seq: 0,
             incarnation: 0,
-            pending_sends: Vec::new(),
-            lazy_pool: None,
+            leftovers: Vec::new(),
+            probe_pre: Vec::new(),
+            probe_post: Vec::new(),
             seen_ids: HashSet::new(),
             poison: HashSet::new(),
             started: false,
@@ -441,28 +448,30 @@ impl<P: ControlPlane> RbShim<P> {
                 // and record the violation (§2.2 sizes the horizon so this
                 // never fires).
                 self.metrics.window_violations += 1;
-                self.deliver_at_end(ctx, entry);
+                self.deliver_at_end(ctx, entry, self.history.is_empty());
                 return;
             }
         }
         let pos = self.history.partition_point(|e| e.key <= key);
         if pos == self.history.len() {
             self.metrics.fast_path += 1;
-            self.deliver_at_end(ctx, entry);
+            self.deliver_at_end(ctx, entry, self.history.is_empty());
         } else {
             self.rollback_insert(ctx, pos, entry);
         }
         self.metrics.max_history = self.metrics.max_history.max(self.history.len());
     }
 
-    /// Fast path: checkpoint (per granularity) and deliver at the end of the
-    /// history.
+    /// Checkpoints (per the capture cadence, or unconditionally when
+    /// `force`) and delivers at the end of the history: the fast path, and
+    /// each step of a rollback's re-execution.
     fn deliver_at_end(
         &mut self,
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         mut entry: Entry<P::Msg, P::Ext>,
+        force: bool,
     ) {
-        let force = self.history.is_empty();
+        entry.ckpt = None;
         self.maybe_checkpoint(&mut entry, force);
         self.deliver(ctx, &mut entry);
         self.history.push(entry);
@@ -541,106 +550,134 @@ impl<P: ControlPlane> RbShim<P> {
         self.adapt_window += 1;
     }
 
+    /// Runs `entry`'s handler(s) against the control plane, applies their
+    /// timer operations to the wheel, and returns what they sent, in emit
+    /// order. Touches nothing outside `self.snap`.
+    fn execute(&mut self, entry: &Entry<P::Msg, P::Ext>) -> Vec<(NodeId, P::Msg)> {
+        // Match by reference: events carry whole LSA/update payloads, and
+        // this runs once per (re-)delivery — the clone was a hot-path
+        // allocation for nothing.
+        let mut out = Outbox::new();
+        match &entry.ev {
+            LocalEvent::Start => self.snap.cp.on_start(&mut out),
+            LocalEvent::External(x) => self.snap.cp.on_external(x, &mut out),
+            LocalEvent::Msg { from, payload } => self.snap.cp.on_message(*from, payload, &mut out),
+            LocalEvent::BeaconTick => {
+                self.snap.current_group = entry.ann.group;
+                // Fire due timers until quiescent (a handler may arm a timer
+                // due in the same group).
+                let mut sends = Vec::new();
+                loop {
+                    let due = self.snap.take_due_timers(self.snap.current_group);
+                    if due.is_empty() {
+                        return sends;
+                    }
+                    for token in due {
+                        let mut out = Outbox::new();
+                        self.snap.cp.on_timer(token, &mut out);
+                        self.snap.apply_timer_ops(&out.arms, &out.cancels);
+                        sends.append(&mut out.sends);
+                    }
+                }
+            }
+        }
+        self.snap.apply_timer_ops(&out.arms, &out.cancels);
+        out.sends
+    }
+
+    fn child_annotation(&self, parent: &Annotation, to: NodeId, emit: usize) -> Annotation {
+        Annotation::child(
+            parent,
+            self.me,
+            self.shared.link_est(self.me, to),
+            emit as u32,
+            self.shared.cfg.chain_bound,
+        )
+    }
+
     /// Executes one entry against the control plane and transmits its
-    /// outputs.
+    /// outputs, everything logged for possible unsending. On a re-delivery
+    /// `entry.sends` holds what the previous execution transmitted: a
+    /// regenerated send identical to the one recorded at its emit index
+    /// stands as transmitted (lazy cancellation — no re-send, no
+    /// anti-message), and the recorded sends not regenerated go to
+    /// `self.leftovers`.
     fn deliver(
         &mut self,
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         entry: &mut Entry<P::Msg, P::Ext>,
     ) {
-        let mut emit = 0u32;
-        debug_assert!(self.pending_sends.is_empty());
-        // Match by reference: events carry whole LSA/update payloads, and
-        // this runs once per (re-)delivery — the clone was a hot-path
-        // allocation for nothing.
-        match &entry.ev {
-            LocalEvent::Start => {
-                let mut out = Outbox::new();
-                self.snap.cp.on_start(&mut out);
-                self.dispatch(ctx, &entry.ann, out, &mut emit);
-            }
-            LocalEvent::External(x) => {
-                let mut out = Outbox::new();
-                self.snap.cp.on_external(x, &mut out);
-                self.dispatch(ctx, &entry.ann, out, &mut emit);
-            }
-            LocalEvent::Msg { from, payload } => {
-                let mut out = Outbox::new();
-                self.snap.cp.on_message(*from, payload, &mut out);
-                self.dispatch(ctx, &entry.ann, out, &mut emit);
-            }
-            LocalEvent::BeaconTick => {
-                self.snap.current_group = entry.ann.group;
-                // Fire due timers until quiescent (a handler may arm a timer
-                // due in the same group).
-                loop {
-                    let due = self.snap.take_due_timers(self.snap.current_group);
-                    if due.is_empty() {
-                        break;
-                    }
-                    for token in due {
-                        let mut out = Outbox::new();
-                        self.snap.cp.on_timer(token, &mut out);
-                        self.dispatch(ctx, &entry.ann, out, &mut emit);
-                    }
-                }
-            }
-        }
-        entry.sends = std::mem::take(&mut self.pending_sends);
-        self.pending_overhead = SimDuration::ZERO;
-    }
-
-    /// Applies an outbox: timer ops onto the wheel, sends annotated and
-    /// transmitted, everything logged for possible unsending.
-    fn dispatch(
-        &mut self,
-        ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
-        parent: &Annotation,
-        out: Outbox<P::Msg>,
-        emit: &mut u32,
-    ) {
-        self.snap.apply_timer_ops(&out.arms, &out.cancels);
+        let out = self.execute(entry);
         let extra = if self.shared.cfg.charge_overhead {
             self.pending_overhead
         } else {
             SimDuration::ZERO
         };
-        for (to, payload) in out.sends {
-            let ann = Annotation::child(
-                parent,
-                self.me,
-                self.shared.link_est(self.me, to),
-                *emit,
-                self.shared.cfg.chain_bound,
-            );
-            *emit += 1;
+        let mut recs = std::mem::take(&mut entry.sends);
+        let emitted = out.len();
+        for (emit, (to, payload)) in out.into_iter().enumerate() {
+            let ann = self.child_annotation(&entry.ann, to, emit);
             let digest = debug_digest(&payload);
-            if let Some(pool) = self.lazy_pool.as_mut() {
-                if let Some(ids) = pool.get_mut(&(to, ann, digest)) {
-                    if let Some(id) = ids.pop() {
-                        // Lazy cancellation: the replay regenerated this
-                        // message byte-identically, so the copy already on
-                        // the wire (or delivered) stands. No re-send, no
-                        // anti-message.
-                        self.pending_sends.push(SentRec { id, to, ann, digest });
-                        self.metrics.lazy_hits += 1;
-                        continue;
-                    }
+            if let Some(old) = recs.get(emit) {
+                if (old.digest, old.to, old.ann) == (digest, to, ann) {
+                    self.metrics.lazy_hits += 1;
+                    continue;
                 }
+                self.leftovers.push((old.to, old.id));
             }
             let id = MsgId { sender: self.me, incarnation: self.incarnation, seq: self.send_seq };
             self.send_seq += 1;
-            self.pending_sends.push(SentRec { id, to, ann, digest });
             self.metrics.app_msgs_sent += 1;
+            let rec = SentRec { id, to, ann, digest };
+            match recs.get_mut(emit) {
+                Some(slot) => *slot = rec,
+                None => recs.push(rec),
+            }
             ctx.send_delayed(to, Envelope::App { id, ann, payload }, extra);
         }
+        self.leftovers.extend(recs.drain(emitted.min(recs.len())..).map(|old| (old.to, old.id)));
+        entry.sends = recs;
+        self.pending_overhead = SimDuration::ZERO;
     }
 
-    /// Rolls back to the checkpoint covering `pos`, unsends invalidated
-    /// messages, and replays the suffix (including `new_entry`) in key
-    /// order. The replay goes through [`RbShim::redeliver_insert`], which
-    /// can jump forward over the tail when the straggler proves to be a
-    /// state no-op.
+    /// Re-executes an entry whose inputs are unchanged — it sits between a
+    /// restored checkpoint and the straggler — for its effect on the state
+    /// alone. Determinism guarantees the handler regenerates exactly the
+    /// sends `entry.sends` records, so nothing is annotated, digested,
+    /// matched, or transmitted: every recorded send stands as a lazy hit.
+    /// Debug builds regenerate and compare every send, which makes every
+    /// rollback-exercising test the optimisation-off oracle.
+    fn replay_state_only(&mut self, entry: &Entry<P::Msg, P::Ext>) {
+        let out = self.execute(entry);
+        assert_eq!(
+            out.len(),
+            entry.sends.len(),
+            "node {}: re-executing {:?} from unchanged inputs changed its send count — \
+             the control plane is not deterministic",
+            self.me,
+            entry.key,
+        );
+        if cfg!(debug_assertions) {
+            for (emit, ((to, payload), rec)) in out.iter().zip(&entry.sends).enumerate() {
+                let regenerated =
+                    (*to, self.child_annotation(&entry.ann, *to, emit), debug_digest(payload));
+                debug_assert_eq!(
+                    regenerated,
+                    (rec.to, rec.ann, rec.digest),
+                    "node {}: send {emit} of {:?} differs on state-only replay",
+                    self.me,
+                    entry.key,
+                );
+            }
+        }
+        self.metrics.lazy_hits += out.len() as u64;
+        self.pending_overhead = SimDuration::ZERO;
+    }
+
+    /// Rolls back to the checkpoint covering `pos` and replays the suffix
+    /// with `new_entry` inserted at `pos`, its place in key order. The
+    /// replay goes through [`RbShim::redeliver_insert`], which can jump
+    /// forward over the tail when the straggler proves to be a state no-op.
     fn rollback_insert(
         &mut self,
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
@@ -650,17 +687,16 @@ impl<P: ControlPlane> RbShim<P> {
         let j = self.checkpoint_index_at_or_before(pos);
         self.metrics.rollbacks += 1;
         self.metrics.rolled_entries += (self.history.len() - j) as u64;
-        // Stash the pre-rollback head state; if the straggler leaves the
-        // replayed state byte-identical, this is exactly the state the
-        // suffix replay would rebuild.
-        let head = self.snap.clone();
+        obs::hist!("rb.prefix_len").record((pos - j) as u64);
+        obs::hist!("rb.tail_len").record((self.history.len() - pos) as u64);
         let restored = self.history[j].ckpt.expect("target has checkpoint");
-        let inserted = new_entry.key;
-        let pool = self.restore_keeping(j);
+        // The pre-rollback head state: if the straggler leaves the replayed
+        // state byte-identical, this is exactly the state the suffix replay
+        // would rebuild.
+        let head = self.restore_keeping(j);
         let mut suffix = self.history.split_off(j);
-        suffix.push(new_entry);
-        suffix.sort_by_key(|a| a.key);
-        self.redeliver_insert(ctx, suffix, pool, inserted, restored, head);
+        suffix.insert(pos - j, new_entry);
+        self.redeliver_insert(ctx, suffix, pos - j, restored, head);
     }
 
     /// Handles an anti-message: removes the listed entries (or poisons
@@ -683,13 +719,19 @@ impl<P: ControlPlane> RbShim<P> {
         let j = self.checkpoint_index_at_or_before(i_min);
         self.metrics.rollbacks += 1;
         self.metrics.rolled_entries += (self.history.len() - j) as u64;
-        let pool = self.restore_to(j);
+        self.restore_to(j);
         let suffix = self.history.split_off(j);
-        let keep: Vec<Entry<P::Msg, P::Ext>> = suffix
-            .into_iter()
-            .filter(|e| e.id.map(|i| !matched_ids.contains(&i)).unwrap_or(true))
-            .collect();
-        self.redeliver(ctx, keep, pool);
+        let mut keep = Vec::with_capacity(suffix.len());
+        for e in suffix {
+            if e.id.is_some_and(|i| matched_ids.contains(&i)) {
+                // Nothing re-executes a removed entry, so nothing can
+                // regenerate its sends: they are leftovers outright.
+                self.leftovers.extend(e.sends.iter().map(|rec| (rec.to, rec.id)));
+            } else {
+                keep.push(e);
+            }
+        }
+        self.redeliver(ctx, keep);
     }
 
     fn checkpoint_index_at_or_before(&self, pos: usize) -> usize {
@@ -700,33 +742,26 @@ impl<P: ControlPlane> RbShim<P> {
             .expect("first live history entry always holds a checkpoint")
     }
 
-    /// Restores the snapshot at history index `j` and pools every message
-    /// previously sent by entries `j..` for lazy-cancellation matching
-    /// during the replay, then invalidates every checkpoint at or after
-    /// the restored-to one. Nothing is unsent here; [`RbShim::redeliver`]
-    /// retracts only the sends the replay fails to regenerate.
-    fn restore_to(&mut self, j: usize) -> LazyPool {
+    /// Restores the snapshot at history index `j` and invalidates every
+    /// checkpoint at or after the restored-to one. Nothing is unsent here;
+    /// [`RbShim::redeliver`] retracts only the sends the replay fails to
+    /// regenerate.
+    fn restore_to(&mut self, j: usize) {
         let cid = self.history[j].ckpt.expect("target has checkpoint");
-        let pool = self.restore_keeping(j);
+        self.restore_keeping(j);
         self.ckpt.truncate_from(cid);
-        pool
     }
 
     /// [`RbShim::restore_to`] minus the checkpoint invalidation: an
     /// insert-rollback's replay reproduces states byte-for-byte until it
     /// reaches the straggler, so the existing images stay valid and
     /// [`RbShim::redeliver_insert`] truncates only once divergence is
-    /// proven.
-    fn restore_keeping(&mut self, j: usize) -> LazyPool {
+    /// proven. Returns the state the restore replaced.
+    fn restore_keeping(&mut self, j: usize) -> NodeSnapshot<P> {
         let cid = self.history[j].ckpt.expect("target has checkpoint");
-        self.snap = self.ckpt.restore(cid).expect("checkpoint restorable");
+        let restored = self.ckpt.restore(cid).expect("checkpoint restorable");
+        let head = std::mem::replace(&mut self.snap, restored);
         self.incarnation += 1;
-        let mut pool = LazyPool::new();
-        for e in &self.history[j..] {
-            for rec in &e.sends {
-                pool.entry((rec.to, rec.ann, rec.digest)).or_default().push(rec.id);
-            }
-        }
         let stats = self.ckpt.stats_fast();
         let bytes = stats.virtual_bytes / stats.retained.max(1);
         let replayed = self.history.len() - j;
@@ -746,102 +781,99 @@ impl<P: ControlPlane> RbShim<P> {
             self.pending_overhead += SimDuration::from_nanos(ns);
             self.metrics.overhead_ns += ns;
         }
-        pool
+        head
     }
 
-    /// Replays `entries` (already key-sorted) from the restored state,
-    /// matching regenerated sends against `pool` (lazy cancellation), then
-    /// unsends whatever the replay did not reproduce.
+    /// Re-executes `entries` (already key-sorted) from the restored state,
+    /// then unsends whatever the replay did not regenerate.
     fn redeliver(
         &mut self,
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         entries: Vec<Entry<P::Msg, P::Ext>>,
-        pool: LazyPool,
     ) {
         let _span = obs::span!("rb.redeliver");
-        self.lazy_pool = Some(pool);
-        for (i, mut e) in entries.into_iter().enumerate() {
-            e.ckpt = None;
-            self.maybe_checkpoint(&mut e, i == 0);
-            self.deliver(ctx, &mut e);
-            self.history.push(e);
+        for (i, e) in entries.into_iter().enumerate() {
+            self.deliver_at_end(ctx, e, i == 0);
         }
         self.unsend_leftovers(ctx);
     }
 
-    /// [`RbShim::redeliver`] specialised for straggler inserts, adding the
-    /// Time-Warp "jump forward" optimisation (lazy re-evaluation).
+    /// [`RbShim::redeliver`] specialised for a straggler insert at
+    /// `entries[k]`, adding the Time-Warp "jump forward" optimisation (lazy
+    /// re-evaluation).
     ///
     /// The replay of the prefix — the entries between the restored-to
     /// checkpoint and the straggler — has unchanged inputs, so determinism
     /// reproduces every state and send exactly: the entries keep their
-    /// live checkpoint references (the restore did not truncate) and no
-    /// re-capture happens. The straggler is then delivered bracketed by
-    /// state probes. If it left the state byte-identical — duplicate
-    /// floods and stale acks usually do — every later entry would replay
-    /// to exactly its previous result, so the stashed head state is
-    /// reinstated and the tail spliced back, checkpoints and all, without
-    /// re-execution. Only on proven divergence are the tail's images
-    /// dropped and its entries re-executed. The decision depends only on
-    /// node-local replayed state, so it is identical across seeds, shard
-    /// counts, and farm job counts.
+    /// live checkpoint references (the restore did not truncate), their
+    /// recorded sends, and only their handlers run. The straggler is then
+    /// delivered bracketed by state probes. If it left the state
+    /// byte-identical — duplicate floods and stale acks usually do — every
+    /// later entry would replay to exactly its previous result, so the
+    /// pre-rollback head state is reinstated and the tail spliced back,
+    /// checkpoints and all, without re-execution. Only on proven
+    /// divergence are the tail's images dropped and its entries
+    /// re-executed. The decision depends only on node-local replayed state,
+    /// so it is identical across seeds, shard counts, and farm job counts.
     fn redeliver_insert(
         &mut self,
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         mut entries: Vec<Entry<P::Msg, P::Ext>>,
-        pool: LazyPool,
-        inserted: OrderKey,
+        k: usize,
         restored: checkpoint::CheckpointId,
         head: NodeSnapshot<P>,
     ) {
-        let k = entries
-            .iter()
-            .position(|e| e.key == inserted)
-            .expect("inserted entry is in the suffix");
         if k == 0 {
             // The straggler sorted ahead of the restored-to entry, so even
             // that entry now replays from a changed state: no image can be
             // kept. Invalidate them all and take the plain replay path.
             self.ckpt.truncate_from(restored);
-            return self.redeliver(ctx, entries, pool);
+            return self.redeliver(ctx, entries);
         }
         let _span = obs::span!("rb.redeliver");
         let tail = entries.split_off(k + 1);
         let mut straggler = entries.pop().expect("prefix ends with the straggler");
-        self.lazy_pool = Some(pool);
-        // Phase 1 — the prefix: unchanged inputs, reproduced exactly; all
-        // sends land as lazy-pool hits and checkpoint refs stay live.
-        for mut e in entries {
-            self.deliver(ctx, &mut e);
+        // Phase 1 — the prefix: unchanged inputs, reproduced exactly; the
+        // recorded sends stand and checkpoint refs stay live.
+        for e in entries {
+            self.replay_state_only(&e);
             self.history.push(e);
         }
         // Phase 2 — the straggler, bracketed by state probes (skipped when
         // there is no tail to jump over).
-        straggler.ckpt = None;
         let probe = !tail.is_empty();
-        let mut pre = Vec::new();
+        // Debug builds hold the verdict against the one full encodings
+        // give (the optimisation-off oracle).
+        let full_pre = (probe && cfg!(debug_assertions)).then(|| self.snap.digest());
         if probe {
-            self.snap.encode(&mut pre);
+            probe_into(&self.snap, &mut self.probe_pre);
         }
         self.deliver(ctx, &mut straggler);
         self.history.push(straggler);
-        if probe {
-            let mut post = Vec::new();
-            self.snap.encode(&mut post);
-            if pre == post {
-                // Jump forward: reinstate the head state and splice the
-                // tail back untouched. Every pool leftover is a tail send
-                // that stands as transmitted — nothing to unsend. (The
-                // straggler cannot have matched a tail send in the pool:
-                // annotations embed the parent entry's identity.)
-                self.metrics.jumps += 1;
-                self.metrics.jumped_entries += tail.len() as u64;
-                obs::counter!("rb.jump").add(1);
-                self.snap = head;
-                self.history.extend(tail);
-                self.lazy_pool = None;
-                return;
-            }
+        let unchanged = probe && {
+            probe_into(&self.snap, &mut self.probe_post);
+            self.probe_pre == self.probe_post
+        };
+        if let Some(full_pre) = full_pre {
+            debug_assert_eq!(
+                unchanged,
+                full_pre == self.snap.digest(),
+                "node {}: primary bytes and the full encoding disagree on a jump",
+                self.me,
+            );
+        }
+        if unchanged {
+            // Jump forward: reinstate the head state and splice the tail
+            // back untouched. Its sends stand as transmitted, and neither
+            // the prefix nor the (never before delivered) straggler left
+            // anything to unsend.
+            debug_assert!(self.leftovers.is_empty());
+            self.metrics.jumps += 1;
+            self.metrics.jumped_entries += tail.len() as u64;
+            obs::counter!("rb.jump").add(1);
+            self.snap = head;
+            self.history.extend(tail);
+            return;
         }
         // Phase 3 — divergence: every image captured at or after the
         // straggler's position is stale. Drop them (the earliest parks as
@@ -852,31 +884,25 @@ impl<P: ControlPlane> RbShim<P> {
         if let Some(dead) = tail.iter().find_map(|e| e.ckpt) {
             self.ckpt.truncate_from(dead);
         }
-        for mut e in tail {
-            e.ckpt = None;
-            self.maybe_checkpoint(&mut e, false);
-            self.deliver(ctx, &mut e);
-            self.history.push(e);
+        for e in tail {
+            self.deliver_at_end(ctx, e, false);
         }
         self.unsend_leftovers(ctx);
     }
 
-    /// Retracts the pooled sends the replay did not regenerate.
+    /// Retracts the sends the replay did not regenerate, one anti-message
+    /// per peer.
     fn unsend_leftovers(&mut self, ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>) {
-        let leftover = self.lazy_pool.take().expect("pool installed above");
-        let mut per_peer: BTreeMap<NodeId, Vec<MsgId>> = BTreeMap::new();
-        for ((to, _, _), ids) in leftover {
-            per_peer.entry(to).or_default().extend(ids);
-        }
-        for (to, mut ids) in per_peer {
-            if ids.is_empty() {
-                continue;
-            }
-            ids.sort_unstable();
+        let mut leftovers = std::mem::take(&mut self.leftovers);
+        leftovers.sort_unstable();
+        for peer in leftovers.chunk_by(|a, b| a.0 == b.0) {
             self.metrics.unsend_msgs += 1;
-            self.metrics.unsent_ids += ids.len() as u64;
-            ctx.send_control(to, Envelope::Unsend { ids });
+            self.metrics.unsent_ids += peer.len() as u64;
+            let ids = peer.iter().map(|&(_, id)| id).collect();
+            ctx.send_control(peer[0].0, Envelope::Unsend { ids });
         }
+        leftovers.clear();
+        self.leftovers = leftovers;
     }
 
     /// Commits the first `p` history entries (after clamping `p` so the
@@ -1005,6 +1031,16 @@ impl<P: ControlPlane> RbShim<P> {
         let ann = Annotation::beacon(source, number, self.shared.dist[source.index()][self.me.index()]);
         self.insert_arrival(ctx, ann, None, LocalEvent::BeaconTick);
     }
+}
+
+/// One half of the jump probe: refills `buf` with the state's primary bytes
+/// — those that determine the full encoding a checkpoint would store, so
+/// equality has the same verdict — without bringing derived state (the OSPF
+/// routing table the prefix replay just dirtied) up to date.
+fn probe_into<S: Snapshotable>(state: &S, buf: &mut Vec<u8>) {
+    let _span = obs::span!("rb.probe");
+    buf.clear();
+    state.encode_primary(buf);
 }
 
 impl<P: ControlPlane> Process for RbShim<P> {

@@ -73,11 +73,10 @@ impl<P: ControlPlane> NodeSnapshot<P> {
         }
         due
     }
-}
 
-impl<P: ControlPlane> Snapshotable for NodeSnapshot<P> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cp.encode(buf);
+    /// The shim-local context behind the control plane's bytes. (`armed`
+    /// is the wheel's reverse index and is rebuilt on decode.)
+    fn encode_shim_context(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.current_group);
         put_u64(buf, self.origin_seq);
         put_u64(buf, self.arm_seq);
@@ -87,6 +86,18 @@ impl<P: ControlPlane> Snapshotable for NodeSnapshot<P> {
             put_u64(buf, s);
             put_u64(buf, t.0);
         }
+    }
+}
+
+impl<P: ControlPlane> Snapshotable for NodeSnapshot<P> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.cp.encode(buf);
+        self.encode_shim_context(buf);
+    }
+
+    fn encode_primary(&self, buf: &mut Vec<u8>) {
+        self.cp.encode_primary(buf);
+        self.encode_shim_context(buf);
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {

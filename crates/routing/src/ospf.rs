@@ -423,7 +423,9 @@ fn get_lsa(r: &mut Reader<'_>) -> Option<Lsa> {
 }
 
 impl Snapshotable for OspfProcess {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    /// Everything but the routing table, which is a pure function of the
+    /// LSDB encoded here: no SPF runs.
+    fn encode_primary(&self, buf: &mut Vec<u8>) {
         put_u32(buf, self.id.0);
         put_u64(buf, self.cfg.n_nodes as u64);
         put_u64(buf, self.cfg.hello_ticks);
@@ -456,6 +458,10 @@ impl Snapshotable for OspfProcess {
             put_u32(buf, p.0);
             put_lsa(buf, lsa);
         }
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_primary(buf);
         // Force SPF before snapshotting so the encoding stays a pure
         // function of the LSDB regardless of when the table was last read.
         self.spf_if_dirty();

@@ -14,7 +14,7 @@ use defined_core::ls::first_divergence;
 use defined_core::recorder::{trim_log, CommitRecord, Recording};
 use defined_core::session::DebugSession;
 use defined_core::wire::Wire;
-use defined_core::{DefinedConfig, FarmConfig, LockstepNet, RbNetwork};
+use defined_core::{DefinedConfig, FarmConfig, LockstepNet, RbMetrics, RbNetwork};
 use defined_obs as obs;
 use defined_store::{FileIo, StoreError, StoreMeta};
 use netsim::{NodeId, SimTime};
@@ -49,6 +49,8 @@ pub struct RecordedRun {
     pub logs: Vec<Vec<CommitRecord>>,
     /// GVT progression of the optimistic production run.
     pub gvt: GvtReport,
+    /// The production run's rollback counters, summed over nodes.
+    pub metrics: RbMetrics,
 }
 
 impl RecordedRun {
@@ -592,6 +594,7 @@ impl Scenario {
             upto,
             logs,
             gvt,
+            metrics: m,
         })
     }
 

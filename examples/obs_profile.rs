@@ -8,10 +8,15 @@
 //! Flags:
 //!
 //! * `--quick` — profile only n=20 (the CI-sized run);
-//! * `--check <pct>` — scale-regression guard: exit non-zero if the
-//!   `ckpt.capture` span's share of any profiled run exceeds `<pct>`
-//!   percent. CI runs `--quick --check` with the checked-in threshold so a
-//!   change that re-inflates the checkpoint hot path fails the build.
+//! * `--check <ns>` — scale-regression guard: exit non-zero if, in any
+//!   profiled run, `ckpt.capture` time exceeds `<ns>` nanoseconds per
+//!   4 KiB page of state captured (`ckpt.pages_total`: captures × image
+//!   size). CI runs `--quick --check` with the checked-in ceiling so a
+//!   change that re-inflates the checkpoint hot path fails the build. The
+//!   gate is capture's own unit cost, not its share of the run: a share
+//!   moves whenever anything *else* in the run gets faster or slower
+//!   (cheaper redelivery alone took it from 10% to 20% at n=40 with
+//!   capture untouched). The share is still printed.
 
 use defined::core::config::CapturePolicy;
 use defined::core::{DefinedConfig, OrderingMode, RbNetwork};
@@ -49,7 +54,7 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: obs_profile [--quick] [--check <max-capture-pct>]");
+    eprintln!("usage: obs_profile [--quick] [--check <max-capture-ns-per-page>]");
     ExitCode::FAILURE
 }
 
@@ -61,7 +66,7 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--quick" => quick = true,
             "--check" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(pct)) if pct <= 100 => check = Some(pct),
+                Some(Ok(ns)) => check = Some(ns),
                 _ => return usage(),
             },
             _ => return usage(),
@@ -72,7 +77,7 @@ fn main() -> ExitCode {
     println!("== Profiling fig8_size/rb_oo_2s (RB production, 2 sim-seconds) ==");
 
     let sizes: &[usize] = if quick { &[20] } else { &[20, 40] };
-    let mut worst_capture_pct = 0u64;
+    let mut worst_capture_ns = 0u64;
     for &n in sizes {
         let before = obs::global().snapshot();
         let metrics = {
@@ -131,26 +136,34 @@ fn main() -> ExitCode {
             println!("    {name:<28} +{delta}");
         }
 
-        // The guard metric: what share of the run the capture path took.
-        let capture_ns = spans
+        // The guard metric: what capturing one page of state costs. (The
+        // share of the run is printed for orientation; it moves with every
+        // other layer.)
+        let (captures, capture_ns) = spans
             .iter()
             .find(|(name, _, _)| name == "ckpt.capture")
-            .map_or(0, |(_, _, ns)| *ns);
+            .map_or((0, 0), |(_, count, ns)| (*count, *ns));
+        let pages = after.counter("ckpt.pages_total") - before.counter("ckpt.pages_total");
+        let per_page_ns = capture_ns.checked_div(pages).unwrap_or(0);
         let capture_pct = (capture_ns * 100).checked_div(total_ns).unwrap_or(0);
         let stored = after.counter("ckpt.bytes_stored") - before.counter("ckpt.bytes_stored");
-        println!("  ckpt.capture share: {capture_pct}%  ckpt.bytes_stored: +{stored}");
-        worst_capture_pct = worst_capture_pct.max(capture_pct);
+        println!(
+            "  ckpt.capture: {per_page_ns} ns/page ({captures} captures of {pages} pages, \
+             {} ns/capture, {capture_pct}% of run)  ckpt.bytes_stored: +{stored}",
+            capture_ns.checked_div(captures).unwrap_or(0),
+        );
+        worst_capture_ns = worst_capture_ns.max(per_page_ns);
     }
 
-    if let Some(max_pct) = check {
-        if worst_capture_pct > max_pct {
+    if let Some(max_ns) = check {
+        if worst_capture_ns > max_ns {
             eprintln!(
-                "FAIL: ckpt.capture took {worst_capture_pct}% of a profiled run \
-                 (threshold {max_pct}%) — the checkpoint hot path regressed"
+                "FAIL: ckpt.capture took {worst_capture_ns} ns per captured page in a profiled \
+                 run (ceiling {max_ns} ns) — the checkpoint hot path regressed"
             );
             return ExitCode::FAILURE;
         }
-        println!("\ncheck ok: ckpt.capture share {worst_capture_pct}% <= {max_pct}%");
+        println!("\ncheck ok: ckpt.capture {worst_capture_ns} ns/page <= {max_ns} ns");
     }
     ExitCode::SUCCESS
 }

@@ -25,8 +25,9 @@
 //! process-global, so a test flipping them must not interleave with the
 //! others.
 
+use defined::core::config::CapturePolicy;
 use defined::core::recorder::CommitRecord;
-use defined::core::FarmConfig;
+use defined::core::{FarmConfig, RbMetrics};
 use defined::obs;
 use defined::scenario;
 use std::sync::{Mutex, MutexGuard};
@@ -80,11 +81,33 @@ fn run_workflow(name: &str, shards: usize, jobs: usize) -> Artifacts {
     }
 }
 
+/// A production run whose rollbacks have prefixes to replay and tails to
+/// jump over — `rip-blackhole` as registered captures before every
+/// delivery, so its rollbacks restore *at* the straggler and the
+/// state-only replay, the jump probe and their obs call sites never run.
+fn record_with_deep_rollbacks() -> (Vec<u8>, Vec<Vec<CommitRecord>>, RbMetrics) {
+    let scn = scenario::find("brite-race").expect("registry scenario");
+    let run = scn.with_capture(CapturePolicy::auto()).record_run().expect("records");
+    assert!(run.metrics.jumps > 0 && run.metrics.unsend_msgs > 0, "{:?}", run.metrics);
+    (run.bytes, run.logs, run.metrics)
+}
+
 /// The headline contract: enabled vs disabled vs tracing, across shard
 /// and job counts, on a scenario with rollbacks, drops, and a death cut.
 #[test]
 fn workflow_outputs_are_identical_with_obs_on_off_and_tracing() {
     let _serial = serial_guard();
+    obs::set_enabled(true);
+    let on = record_with_deep_rollbacks();
+    obs::set_tracing(true);
+    let traced = record_with_deep_rollbacks();
+    obs::set_tracing(false);
+    let _ = obs::take_events();
+    obs::set_enabled(false);
+    let off = record_with_deep_rollbacks();
+    obs::set_enabled(true);
+    assert!(on == off, "obs on vs off diverged on the deep-rollback record");
+    assert!(on == traced, "tracing perturbed the deep-rollback record");
     for shards in [1usize, 2] {
         for jobs in [1usize, 2] {
             obs::set_enabled(true);
@@ -113,6 +136,7 @@ fn disabled_collection_records_nothing() {
     obs::set_enabled(false);
     let before = obs::global().snapshot();
     let _ = run_workflow("rip-blackhole", 2, 2);
+    let _ = record_with_deep_rollbacks();
     let after = obs::global().snapshot();
     obs::set_enabled(true);
     for key in [
@@ -134,11 +158,20 @@ fn disabled_collection_records_nothing() {
     }
     // The call sites still register their (zeroed) cells — only the
     // recorded counts must stay put.
-    for span in ["ls.wave", "store.drain", "store.fsync", "store.finish"] {
+    for span in
+        ["ls.wave", "store.drain", "store.fsync", "store.finish", "rb.redeliver", "rb.probe"]
+    {
         assert_eq!(
             before.spans.get(span).map_or(0, |s| s.count),
             after.spans.get(span).map_or(0, |s| s.count),
             "span {span} recorded while collection was off"
+        );
+    }
+    for hist in ["rb.prefix_len", "rb.tail_len"] {
+        assert_eq!(
+            before.histograms.get(hist).map_or(0, |h| h.count),
+            after.histograms.get(hist).map_or(0, |h| h.count),
+            "histogram {hist} recorded while collection was off"
         );
     }
 }
@@ -152,6 +185,8 @@ fn enabled_collection_covers_the_whole_stack() {
     let before = obs::global().snapshot();
     let _ = run_workflow("rip-blackhole", 2, 2);
     let after = obs::global().snapshot();
+    let deep = record_with_deep_rollbacks().2;
+    let after_deep = obs::global().snapshot();
     for key in [
         "ls.waves",
         "ls.delivered",
@@ -173,7 +208,7 @@ fn enabled_collection_covers_the_whole_stack() {
         );
     }
     let spans = |snap: &obs::Snapshot, name: &str| snap.spans.get(name).map_or(0, |s| s.count);
-    for span in ["ls.wave", "store.drain", "store.fsync", "store.finish"] {
+    for span in ["ls.wave", "store.drain", "store.fsync", "store.finish", "rb.redeliver"] {
         assert!(spans(&after, span) > spans(&before, span), "span {span} did not record");
     }
     // The store write path's spans and counters tell one story: every
@@ -196,11 +231,36 @@ fn enabled_collection_covers_the_whole_stack() {
     let deduped =
         after.counter("ckpt.pool.bytes_deduped") - before.counter("ckpt.pool.bytes_deduped");
     assert_eq!(hits > 0, deduped > 0, "pool hits ({hits}) vs bytes_deduped ({deduped}) diverge");
+    let hist = |snap: &obs::Snapshot, name: &str| snap.histograms.get(name).map_or(0, |h| h.count);
     assert!(
-        after.histograms.get("ls.wave_events").map_or(0, |h| h.count)
-            > before.histograms.get("ls.wave_events").map_or(0, |h| h.count),
+        hist(&after, "ls.wave_events") > hist(&before, "ls.wave_events"),
         "histogram ls.wave_events did not record"
     );
+    // The rollback path's shape on the deep-rollback record: every
+    // rollback is one redelivery span; every insert-rollback records its
+    // prefix and its tail once; a straggler with a prefix before it and a
+    // tail behind it is bracketed by two probes, and only a probed
+    // straggler can jump.
+    let spans_deep = |name: &str| spans(&after_deep, name) - spans(&after, name);
+    let hist_deep = |name: &str| hist(&after_deep, name) - hist(&after, name);
+    assert_eq!(spans_deep("rb.redeliver"), deep.rollbacks);
+    let inserts = hist_deep("rb.prefix_len");
+    assert!(0 < inserts && inserts <= deep.rollbacks, "{inserts} of {}", deep.rollbacks);
+    assert_eq!(inserts, hist_deep("rb.tail_len"));
+    let probes = spans_deep("rb.probe");
+    assert_eq!(probes % 2, 0, "probes come in pre/post pairs");
+    assert!(probes / 2 <= inserts, "{probes} probes over {inserts} insert-rollbacks");
+    assert!(deep.jumps <= probes / 2, "a jump without a probe pair");
+    assert_eq!(after_deep.counter("rb.jump") - after.counter("rb.jump"), deep.jumps);
+    // The histograms sum what the counters count: a rollback replays its
+    // prefix, the straggler and its tail, except that the straggler is
+    // new (and an anti-message rollback records no shape at all).
+    let sum = |name: &str| {
+        let of = |snap: &obs::Snapshot| snap.histograms.get(name).map_or(0, |h| h.sum);
+        of(&after_deep) - of(&after)
+    };
+    assert!(sum("rb.prefix_len") + sum("rb.tail_len") <= deep.rolled_entries);
+    assert!(sum("rb.tail_len") >= deep.jumped_entries);
 }
 
 /// Log2 bucketing: zeros land in bucket 0, and each value `v >= 1` lands

@@ -5,8 +5,13 @@
 //! first two are universally quantified claims, so they get proptests over
 //! random causal forests; the third is measured by Fig. 8a (OO vs RO).
 
+use defined::checkpoint::fnv1a;
+use defined::core::order::debug_digest;
 use defined::core::{Annotation, OrderingMode};
 use defined::netsim::NodeId;
+use defined::routing::bgp::{BgpMsg, PathAttrs};
+use defined::routing::ospf::{Lsa, OspfMsg};
+use defined::routing::rip::RipAnnouncement;
 use proptest::prelude::*;
 
 /// A recipe for one causal chain: where it starts and which (node, emit)
@@ -41,7 +46,80 @@ fn build_chain(spec: &ChainSpec, bound: u32) -> Vec<Annotation> {
     out
 }
 
+fn rip_msg() -> impl Strategy<Value = RipAnnouncement> {
+    proptest::collection::vec((any::<u32>(), 0u32..17), 0..12)
+        .prop_map(|entries| RipAnnouncement { entries })
+}
+
+fn ospf_msg() -> impl Strategy<Value = OspfMsg> {
+    let links = proptest::collection::vec((0u32..64, any::<u64>()), 0..8);
+    prop_oneof![
+        Just(OspfMsg::Hello),
+        (0u32..64, any::<u64>(), links).prop_map(|(origin, seq, links)| {
+            let links = links.into_iter().map(|(p, c)| (NodeId(p), c)).collect();
+            OspfMsg::Lsa(Lsa { origin: NodeId(origin), seq, links })
+        }),
+        (0u32..64, any::<u64>()).prop_map(|(o, seq)| OspfMsg::Ack { origin: NodeId(o), seq }),
+    ]
+}
+
+fn bgp_msg() -> impl Strategy<Value = BgpMsg> {
+    let attrs = (any::<u32>(), any::<u8>(), any::<u16>(), any::<u32>(), any::<u32>()).prop_map(
+        |(route_id, as_path_len, neighbor_as, med, igp_dist)| PathAttrs {
+            route_id,
+            as_path_len,
+            neighbor_as,
+            med,
+            igp_dist,
+        },
+    );
+    prop_oneof![
+        (any::<u32>(), attrs).prop_map(|(prefix, attrs)| BgpMsg::Update { prefix, attrs }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(prefix, route_id)| BgpMsg::Withdraw { prefix, route_id }),
+    ]
+}
+
+/// Lineage digests are part of every order key and every `.drec` frame:
+/// the values below were computed by the `Vec`-materialising `mix` this
+/// crate shipped with, and no rewrite of it may move them.
+#[test]
+fn lineage_digests_are_golden() {
+    let ext = Annotation::external(NodeId(3), 7, 2);
+    let beacon = Annotation::beacon(NodeId(0), 9, 400);
+    let start = Annotation::chain_start(NodeId(5), 4, 11, 3_000_000, 1);
+    let child = Annotation::child(&ext, NodeId(6), 2_000_000, 3, 24);
+    let spilled = Annotation::child(&child, NodeId(1), 1_000_000, 0, 1);
+    assert_eq!(
+        [ext.lineage, beacon.lineage, start.lineage, child.lineage, spilled.lineage],
+        [
+            0xde38_1d85_c169_fb03,
+            0x47ce_2ea4_a53b_d3cd,
+            0x6ffd_3a3f_1818_582c,
+            0xbe5d_34c6_a149_18b7,
+            0x6852_40b2_551a_7747,
+        ],
+    );
+}
+
 proptest! {
+    /// `debug_digest` streams the `Debug` rendering through the hash; it
+    /// must equal hashing the materialised rendering, for every payload
+    /// type whose digest lands in commit logs and recordings.
+    #[test]
+    fn debug_digest_is_fnv_of_the_debug_rendering(
+        rip in rip_msg(),
+        ospf in ospf_msg(),
+        bgp in bgp_msg(),
+    ) {
+        prop_assert_eq!(debug_digest(&rip), fnv1a(format!("{rip:?}").as_bytes()));
+        prop_assert_eq!(debug_digest(&ospf), fnv1a(format!("{ospf:?}").as_bytes()));
+        prop_assert_eq!(debug_digest(&bgp), fnv1a(format!("{bgp:?}").as_bytes()));
+        // Nested in the containers commit records and logs put them in.
+        let nested = (vec![ospf.clone()], Some(&bgp), "rip", &rip);
+        prop_assert_eq!(debug_digest(&nested), fnv1a(format!("{nested:?}").as_bytes()));
+    }
+
     /// Determinism: rebuilding the same chain yields identical annotations
     /// and identical keys under every ordering mode.
     #[test]
