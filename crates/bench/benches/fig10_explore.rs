@@ -25,8 +25,8 @@
 //!   workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use defined_core::bisect::first_bad_group_farm;
-use defined_core::explore::explore_orderings_farm;
+use defined_core::bisect::first_bad_group;
+use defined_core::explore::explore_orderings;
 use defined_core::{DefinedConfig, FarmConfig, LockstepNet, RbNetwork};
 use netsim::{NodeId, SimDuration, SimTime};
 use routing::ospf::{OspfConfig, OspfProcess};
@@ -54,16 +54,15 @@ fn bench_sweep(c: &mut Criterion) {
     let cfg = DefinedConfig::default();
     let spawn = |id: NodeId| procs[id.index()].clone();
     // Never matches: the sweep replays all 8 salts, so the measurement is
-    // pure probe throughput (a found-early sweep would cut off the farm's
-    // and the serial engine's work identically).
+    // pure probe throughput (a found-early sweep would cut off the work
+    // identically at every job count).
     let never = |_: &LockstepNet<OspfProcess>| false;
     for jobs in [1usize, 2, 4] {
         let label = if jobs == 1 { "serial".to_string() } else { format!("jobs{jobs}") };
         let farm = FarmConfig::with_jobs(jobs);
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                let hit =
-                    explore_orderings_farm(&g, &cfg, &rec, spawn, 0..8u64, never, &farm);
+                let hit = explore_orderings(&g, &cfg, &rec, spawn, 0..8u64, never, &farm);
                 assert!(hit.is_none());
             });
         });
@@ -120,8 +119,7 @@ fn bench_bisect(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                first_bad_group_farm(&g, &cfg, &rec, spawn, bad, &farm)
-                    .expect("predicate fires")
+                first_bad_group(&g, &cfg, &rec, spawn, bad, &farm).expect("predicate fires")
             });
         });
     }

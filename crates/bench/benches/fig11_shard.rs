@@ -2,7 +2,7 @@
 //! shard count on a Rocketfuel PoP graph.
 //!
 //! A single recording of an OSPF run over the Ebone topology is replayed
-//! with the wave engine split 1-, 2-, and 4-way (`ShardedNet`). The replayed
+//! with the wave engine split 1-, 2-, and 4-way (`ShardedWaves`). The replayed
 //! event count is fixed — it is printed once so the timings read directly
 //! as events/sec — and the outputs are byte-identical by construction
 //! (`tests/shard_determinism.rs`), so only the wall clock varies. On a

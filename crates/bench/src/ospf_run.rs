@@ -135,14 +135,6 @@ impl OspfRunner {
         }
     }
 
-    /// Consumes the runner, extracting the RB network when instrumented.
-    pub fn into_rb(self) -> Option<RbNetwork<OspfProcess>> {
-        match self {
-            OspfRunner::Baseline(_) => None,
-            OspfRunner::Rb(n) => Some(n),
-        }
-    }
-
     /// Replays `events` with per-event measurement.
     ///
     /// Each event is injected once the network has stabilised from the

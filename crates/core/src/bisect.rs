@@ -11,12 +11,13 @@
 //! of group `g + 1` ([`LockstepNet::run_to_group_start`]). Determinism
 //! (Theorem 1) is what makes the probes comparable at all — and it is also
 //! what lets the probes run on the replay farm ([`crate::farm`]):
-//! [`first_bad_group_farm`] probes `k` midpoints per round across a worker
-//! pool, each probe seeded from the nearest retained checkpoint instead of
-//! event zero, and still converges to the same group as the serial binary
-//! search (the probe schedule is fixed by the speculation width, so the
-//! report does not depend on the worker count). The serial entry points are
-//! the farm at [`FarmConfig::serial`].
+//! [`first_bad_group`] probes `farm.speculation` midpoints per round across
+//! `farm.jobs` workers, each probe seeded from the nearest retained
+//! checkpoint instead of event zero, and still converges to the same group
+//! as the classic binary search (the probe schedule is fixed by the
+//! speculation width, so the report does not depend on the worker count).
+//! [`FarmConfig::serial`] *is* that binary search: one inline worker, one
+//! midpoint per round.
 
 use crate::config::DefinedConfig;
 use crate::farm::{self, FarmConfig, ProbeSession, SessionPool};
@@ -49,8 +50,8 @@ pub struct BisectReport {
     pub oscillation: Option<(u64, u64)>,
 }
 
-/// Binary-searches the earliest group `g` such that replaying groups
-/// `1..=g` makes `bad` true.
+/// Searches for the earliest group `g` such that replaying groups `1..=g`
+/// makes `bad` true: speculative k-way bisection on the replay farm.
 ///
 /// Assumes the predicate is *monotone* over prefixes (once the bug has
 /// manifested it stays manifested), which holds for state corruption like a
@@ -58,41 +59,19 @@ pub struct BisectReport {
 /// full replay is healthy, and on degenerate recordings with no groups
 /// (`last_group == 0`) — there is no prefix to blame.
 ///
-/// Serial wrapper over [`first_bad_group_farm`] at [`FarmConfig::serial`]:
-/// one worker, classic binary search, checkpoint-seeded probes.
-pub fn first_bad_group<P, S, F>(
-    graph: &Graph,
-    cfg: &DefinedConfig,
-    recording: &Recording<P::Ext>,
-    spawn: S,
-    bad: F,
-) -> Option<BisectReport>
-where
-    P: ControlPlane,
-    P::Msg: Wire,
-    P::Ext: Wire + Sync,
-    S: Fn(NodeId) -> P + Sync,
-    F: Fn(&LockstepNet<P>) -> bool + Sync,
-{
-    first_bad_group_farm(graph, cfg, recording, spawn, bad, &FarmConfig::serial())
-}
-
-/// [`first_bad_group`] on the replay farm: speculative k-way bisection.
-///
 /// Each round probes `farm.speculation` midpoints that split the open
 /// interval into equal parts; the round's outcomes narrow the interval to
 /// the segment between the last healthy and the first bad midpoint. With
-/// `speculation = 1` this *is* the serial binary search, probe for probe.
-/// Probes are distributed over `farm.jobs` workers and each worker seeds
-/// its replay from the nearest checkpoint its session retains
-/// ([`ProbeSession`]), so a probe costs one checkpoint interval of
+/// `speculation = 1` ([`FarmConfig::serial`]) this *is* the binary search,
+/// probe for probe. Probes are distributed over `farm.jobs` workers and
+/// each worker seeds its replay from the nearest checkpoint its session
+/// retains ([`ProbeSession`]), so a probe costs one checkpoint interval of
 /// re-execution rather than a from-zero replay.
 ///
-/// The returned [`BisectReport`] is identical for every `farm.jobs` value,
-/// and identical to the serial search whenever `speculation == 1`
-/// (`first_bad_group` is always the same; `replays` additionally depends
-/// on the speculation width).
-pub fn first_bad_group_farm<P, S, F>(
+/// The returned [`BisectReport`] is identical for every `farm.jobs` value
+/// (`first_bad_group` is the same for every configuration; `replays`
+/// additionally depends on the speculation width).
+pub fn first_bad_group<P, S, F>(
     graph: &Graph,
     cfg: &DefinedConfig,
     recording: &Recording<P::Ext>,
@@ -122,7 +101,7 @@ where
 /// group establishes the predicate, that event with the network frozen at
 /// it.
 #[allow(clippy::type_complexity)]
-pub fn localise_fault_farm<P, S, F>(
+pub fn localise_fault<P, S, F>(
     graph: &Graph,
     cfg: &DefinedConfig,
     recording: &Recording<P::Ext>,
@@ -229,33 +208,15 @@ where
 /// `None` if the predicate never fires strictly inside the group (the
 /// check precedes the probe, so an event of group `g + 1` can never be
 /// credited to group `g`).
+///
+/// Stepping inside the group is inherently sequential, so `farm.jobs` does
+/// not apply; a *standalone* call replays the healthy prefix once from
+/// event zero (a fresh session has only its position-0 anchor to seed
+/// from). When the group came out of [`first_bad_group`], prefer
+/// [`localise_fault`], which reuses the bisection's probe sessions — their
+/// retained checkpoints make reaching the boundary cost one checkpoint
+/// interval instead of the whole prefix.
 pub fn first_bad_event<P, S, F>(
-    graph: &Graph,
-    cfg: &DefinedConfig,
-    recording: &Recording<P::Ext>,
-    spawn: S,
-    first_bad_group: u64,
-    bad: F,
-) -> Option<(LsEvent, LockstepNet<P>)>
-where
-    P: ControlPlane,
-    P::Msg: Wire,
-    P::Ext: Wire + Sync,
-    S: Fn(NodeId) -> P + Sync,
-    F: Fn(&LockstepNet<P>) -> bool + Sync,
-{
-    first_bad_event_farm(graph, cfg, recording, spawn, first_bad_group, bad, &FarmConfig::serial())
-}
-
-/// [`first_bad_event`] with an explicit farm configuration. Stepping
-/// inside the group is inherently sequential, so `farm.jobs` does not
-/// apply; a *standalone* call replays the healthy prefix once from event
-/// zero (a fresh session has only its position-0 anchor to seed from).
-/// When the group came out of [`first_bad_group_farm`], prefer
-/// [`localise_fault_farm`], which reuses the bisection's probe sessions —
-/// their retained checkpoints make reaching the boundary cost one
-/// checkpoint interval instead of the whole prefix.
-pub fn first_bad_event_farm<P, S, F>(
     graph: &Graph,
     cfg: &DefinedConfig,
     recording: &Recording<P::Ext>,
@@ -371,7 +332,8 @@ mod tests {
             ls.current_group() > horizon
                 && ls.control_plane(r1).route(DEST).and_then(|r| r.next_hop) == Some(r2)
         };
-        let report = first_bad_group(&g, &cfg, &rec, spawner(&g, RefreshMode::DestinationOnly), bad)
+        let spawn = spawner(&g, RefreshMode::DestinationOnly);
+        let report = first_bad_group(&g, &cfg, &rec, spawn, bad, &FarmConfig::serial())
             .expect("the black hole must manifest in the replay");
         assert!(
             report.first_bad_group >= horizon,
@@ -399,11 +361,11 @@ mod tests {
             ls.control_plane(r1).route(DEST).is_some()
         };
         let spawn = spawner(&g, RefreshMode::DestinationOnly);
-        let serial = first_bad_group(&g, &cfg, &rec, &spawn, has_route)
+        let serial = first_bad_group(&g, &cfg, &rec, &spawn, has_route, &FarmConfig::serial())
             .expect("the route is eventually installed");
         for (jobs, speculation) in [(1, 3), (2, 2), (2, 3), (8, 8)] {
             let farm = FarmConfig { jobs, speculation, ..FarmConfig::serial() };
-            let report = first_bad_group_farm(&g, &cfg, &rec, &spawn, has_route, &farm)
+            let report = first_bad_group(&g, &cfg, &rec, &spawn, has_route, &farm)
                 .expect("same predicate, same recording");
             assert_eq!(
                 report.first_bad_group, serial.first_bad_group,
@@ -412,7 +374,7 @@ mod tests {
             // Same schedule at a different job count → identical report.
             let farm1 = FarmConfig { jobs: 1, speculation, ..FarmConfig::serial() };
             assert_eq!(
-                first_bad_group_farm(&g, &cfg, &rec, &spawn, has_route, &farm1),
+                first_bad_group(&g, &cfg, &rec, &spawn, has_route, &farm1),
                 Some(report),
                 "speculation={speculation}: report depends on job count"
             );
@@ -420,7 +382,7 @@ mod tests {
         // speculation = 1 reproduces the serial report exactly.
         let farm = FarmConfig { jobs: 4, speculation: 1, ..FarmConfig::serial() };
         assert_eq!(
-            first_bad_group_farm(&g, &cfg, &rec, &spawn, has_route, &farm),
+            first_bad_group(&g, &cfg, &rec, &spawn, has_route, &farm),
             Some(serial),
         );
     }
@@ -464,18 +426,13 @@ mod tests {
         let has_route = move |ls: &LockstepNet<RipProcess>| {
             ls.control_plane(r1).route(DEST).is_some()
         };
-        let report =
-            first_bad_group(&g, &cfg, &rec, spawner(&g, RefreshMode::DestinationOnly), has_route)
-                .expect("the route is eventually installed");
-        let (ev, ls) = first_bad_event(
-            &g,
-            &cfg,
-            &rec,
-            spawner(&g, RefreshMode::DestinationOnly),
-            report.first_bad_group,
-            has_route,
-        )
-        .expect("the installing event exists inside the group");
+        let spawn = spawner(&g, RefreshMode::DestinationOnly);
+        let serial = FarmConfig::serial();
+        let report = first_bad_group(&g, &cfg, &rec, &spawn, has_route, &serial)
+            .expect("the route is eventually installed");
+        let (ev, ls) =
+            first_bad_event(&g, &cfg, &rec, &spawn, report.first_bad_group, has_route, &serial)
+                .expect("the installing event exists inside the group");
         assert_eq!(ev.node, r1, "the install happens at R1: {ev:?}");
         assert_eq!(ev.group, report.first_bad_group, "the event lies inside the bad group");
         assert_eq!(ev.record.ann.class, crate::order::EventClass::Message);
@@ -499,6 +456,7 @@ mod tests {
                 ls.current_group() > horizon
                     && ls.control_plane(r1).route(DEST).and_then(|r| r.next_hop) == Some(r2)
             },
+            &FarmConfig::serial(),
         );
         assert_eq!(report, None, "the patched protocol has no bad group");
     }
@@ -535,14 +493,16 @@ mod tests {
         // probe(g) evaluates at the start of group g + 1, so the earliest
         // bad prefix is g = boundary - 1.
         let pred = move |ls: &LockstepNet<OspfProcess>| ls.current_group() >= boundary;
-        let report = first_bad_group(&g, &cfg, &rec, spawn, pred).expect("fires by the end");
+        let serial = FarmConfig::serial();
+        let report =
+            first_bad_group(&g, &cfg, &rec, spawn, pred, &serial).expect("fires by the end");
         assert_eq!(report.first_bad_group, boundary - 1);
         // No event of group boundary - 1 made it true — the group counter
         // ticked over *after* the group's last event. Before the fix the
         // probe ran ahead of the boundary check and blamed the first event
         // of group `boundary`.
         assert!(
-            first_bad_event(&g, &cfg, &rec, spawn, report.first_bad_group, pred).is_none()
+            first_bad_event(&g, &cfg, &rec, spawn, report.first_bad_group, pred, &serial).is_none()
         );
     }
 
@@ -566,9 +526,10 @@ mod tests {
         // Predicate: that node's committed log has reached the length the
         // first event of `target_group` produces. Monotone by construction.
         let pred = move |ls: &LockstepNet<OspfProcess>| ls.logs()[node.index()].len() >= len;
-        let report = first_bad_group(&g, &cfg, &rec, spawn, pred).expect("fires");
+        let serial = FarmConfig::serial();
+        let report = first_bad_group(&g, &cfg, &rec, spawn, pred, &serial).expect("fires");
         assert_eq!(report.first_bad_group, target_group);
-        let (ev, _) = first_bad_event(&g, &cfg, &rec, spawn, target_group, pred)
+        let (ev, _) = first_bad_event(&g, &cfg, &rec, spawn, target_group, pred, &serial)
             .expect("the culprit is inside the group");
         assert_eq!(ev, first_ev, "the *first* event of the group is the culprit");
     }
@@ -591,17 +552,18 @@ mod tests {
             ticks: vec![],
             last_group: 0,
         };
+        let serial = FarmConfig::serial();
         assert_eq!(
-            first_bad_group(&g, &cfg, &empty, &spawn, |_| true),
+            first_bad_group(&g, &cfg, &empty, &spawn, |_| true, &serial),
             None,
             "an empty recording has no group to blame"
         );
         let single = Recording { last_group: 1, ..empty };
-        let report = first_bad_group(&g, &cfg, &single, &spawn, |_| true)
+        let report = first_bad_group(&g, &cfg, &single, &spawn, |_| true, &serial)
             .expect("a trivially-true predicate is bad from group 1");
         assert_eq!(report.first_bad_group, 1);
         assert_eq!(report.replays, 1, "probe(last) alone settles a one-group search");
-        assert_eq!(first_bad_group(&g, &cfg, &single, &spawn, |_| false), None);
+        assert_eq!(first_bad_group(&g, &cfg, &single, &spawn, |_| false, &serial), None);
     }
 
     /// A predicate that oscillates (bad in an early window, healthy again,
@@ -622,20 +584,21 @@ mod tests {
             (cg >= w_lo && cg < w_hi) || cg >= last
         };
         let farm = FarmConfig { speculation: 4, ..FarmConfig::serial() };
-        let report = first_bad_group_farm(&g, &cfg, &rec, spawn, pred, &farm)
+        let report = first_bad_group(&g, &cfg, &rec, spawn, pred, &farm)
             .expect("the full prefix is bad");
         let (bad_g, healthy_g) =
             report.oscillation.expect("the speculative round saw the healthy gap");
         assert!(bad_g < healthy_g, "witness order: bad {bad_g} < healthy {healthy_g}");
         let farm2 = FarmConfig { jobs: 2, speculation: 4, ..FarmConfig::serial() };
         assert_eq!(
-            first_bad_group_farm(&g, &cfg, &rec, spawn, pred, &farm2),
+            first_bad_group(&g, &cfg, &rec, spawn, pred, &farm2),
             Some(report),
             "oscillation evidence must be job-count invariant"
         );
         // A genuinely monotone predicate is never flagged.
         let mono = move |ls: &LockstepNet<OspfProcess>| ls.current_group() >= w_hi;
-        let clean = first_bad_group(&g, &cfg, &rec, spawn, mono).expect("fires");
+        let clean =
+            first_bad_group(&g, &cfg, &rec, spawn, mono, &FarmConfig::serial()).expect("fires");
         assert_eq!(clean.oscillation, None);
     }
 
@@ -651,7 +614,8 @@ mod tests {
         let spawn = |id: NodeId| procs[id.index()].clone();
         let boundary = rec.last_group / 2;
         let clean = move |ls: &LockstepNet<OspfProcess>| ls.current_group() >= boundary;
-        let expected = first_bad_group(&g, &cfg, &rec, spawn, clean).expect("fires");
+        let expected =
+            first_bad_group(&g, &cfg, &rec, spawn, clean, &FarmConfig::serial()).expect("fires");
         let tripped = AtomicBool::new(false);
         let flaky = |ls: &LockstepNet<OspfProcess>| {
             if !tripped.swap(true, Ordering::SeqCst) {
@@ -661,7 +625,7 @@ mod tests {
         };
         let farm = FarmConfig { jobs: 2, speculation: 2, ..FarmConfig::serial() };
         let report =
-            first_bad_group_farm(&g, &cfg, &rec, spawn, flaky, &farm).expect("still fires");
+            first_bad_group(&g, &cfg, &rec, spawn, flaky, &farm).expect("still fires");
         assert_eq!(report.first_bad_group, expected.first_bad_group);
     }
 }

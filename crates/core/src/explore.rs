@@ -9,11 +9,10 @@
 //! ordering functions until a predicate (e.g. "the bug manifested") holds.
 //!
 //! Each salted replay is independent, so the sweep runs on the replay farm
-//! ([`crate::farm`]): [`explore_orderings_farm`] fans the salts across a
-//! worker pool and still returns the *earliest* matching salt in the given
-//! sequence — not the first to finish — so the parallel answer is
-//! byte-identical to the serial one. The serial entry points below are the
-//! farm at `jobs = 1`.
+//! ([`crate::farm`]): the salts fan out across `farm.jobs` workers and the
+//! result is still the *earliest* matching salt in the given sequence — not
+//! the first to finish — so the answer is byte-identical for every job
+//! count. [`FarmConfig::serial`] is the inline one-worker sweep.
 
 use crate::config::{DefinedConfig, OrderingMode};
 use crate::farm::{self, FarmConfig, JobPanic};
@@ -28,35 +27,15 @@ use topology::Graph;
 /// satisfies `predicate`.
 ///
 /// Each replay is a complete, valid execution of the recorded external
-/// events — just under a different (still deterministic) schedule.
-///
-/// Serial wrapper over [`explore_orderings_farm`] at [`FarmConfig::serial`].
-pub fn explore_orderings<P, F, S>(
-    graph: &Graph,
-    base_cfg: &DefinedConfig,
-    recording: &Recording<P::Ext>,
-    spawn: S,
-    salts: impl IntoIterator<Item = u64>,
-    predicate: F,
-) -> Option<(u64, LockstepNet<P>)>
-where
-    P: ControlPlane,
-    P::Ext: Sync,
-    S: Fn(NodeId) -> P + Sync,
-    F: Fn(&LockstepNet<P>) -> bool + Sync,
-{
-    explore_orderings_farm(graph, base_cfg, recording, spawn, salts, predicate, &FarmConfig::serial())
-}
-
-/// [`explore_orderings`] on the replay farm: the salts are evaluated by
-/// `farm.jobs` workers, and the result is the match *earliest in the salt
-/// sequence* — identical to the serial sweep for every job count. Salts
+/// events — just under a different (still deterministic) schedule. The
+/// salts are evaluated by `farm.jobs` workers, and the result is the match
+/// *earliest in the salt sequence* — identical for every job count. Salts
 /// past the earliest match are skipped once it is known.
 ///
 /// The salt sequence is consumed lazily in bounded batches, so an
-/// unbounded sweep (`0..`) terminates at the first match just as the
-/// serial loop always has; only one batch of salts is ever materialised.
-pub fn explore_orderings_farm<P, F, S>(
+/// unbounded sweep (`0..`) terminates at the first match; only one batch
+/// of salts is ever materialised.
+pub fn explore_orderings<P, F, S>(
     graph: &Graph,
     base_cfg: &DefinedConfig,
     recording: &Recording<P::Ext>,
@@ -75,8 +54,8 @@ where
     let jobs = farm.jobs.max(1);
     // Batches are processed in sequence order, so the first batch with a
     // hit contains the globally earliest one; within a batch `sweep_min`
-    // guarantees the earliest index. Jobs=1 gets a batch of 1 — exactly
-    // the serial lazy loop.
+    // guarantees the earliest index. Jobs=1 gets a batch of 1 — the lazy
+    // one-salt-at-a-time loop.
     let batch_len = if jobs == 1 { 1 } else { jobs * 8 };
     loop {
         let batch: Vec<u64> = salts.by_ref().take(batch_len).collect();
@@ -93,56 +72,6 @@ where
     }
 }
 
-/// Convenience: counts how many of the given salts satisfy the predicate —
-/// a rough measure of how order-dependent an outcome is.
-///
-/// Serial wrapper over [`ordering_sensitivity_farm`] at
-/// [`FarmConfig::serial`].
-pub fn ordering_sensitivity<P, F, S>(
-    graph: &Graph,
-    base_cfg: &DefinedConfig,
-    recording: &Recording<P::Ext>,
-    spawn: S,
-    salts: impl IntoIterator<Item = u64>,
-    predicate: F,
-) -> (usize, usize)
-where
-    P: ControlPlane,
-    P::Ext: Sync,
-    S: Fn(NodeId) -> P + Sync,
-    F: Fn(&LockstepNet<P>) -> bool + Sync,
-{
-    ordering_sensitivity_farm(graph, base_cfg, recording, spawn, salts, predicate, &FarmConfig::serial())
-}
-
-/// [`ordering_sensitivity`] on the replay farm. Every salt is evaluated
-/// (no early exit — the count needs them all, so pass a *finite*
-/// sequence); the tally is a pure function of the salt sequence,
-/// independent of `farm.jobs`.
-pub fn ordering_sensitivity_farm<P, F, S>(
-    graph: &Graph,
-    base_cfg: &DefinedConfig,
-    recording: &Recording<P::Ext>,
-    spawn: S,
-    salts: impl IntoIterator<Item = u64>,
-    predicate: F,
-    farm: &FarmConfig,
-) -> (usize, usize)
-where
-    P: ControlPlane,
-    P::Ext: Sync,
-    S: Fn(NodeId) -> P + Sync,
-    F: Fn(&LockstepNet<P>) -> bool + Sync,
-{
-    let salts: Vec<u64> = salts.into_iter().collect();
-    let eval = |i: usize| {
-        let ls = salted_replay(graph, base_cfg, recording, &spawn, salts[i], farm.shards);
-        predicate(&ls)
-    };
-    let hits = farm::settle(farm::map_indexed(farm.jobs, salts.len(), eval), eval);
-    (hits.iter().filter(|&&h| h).count(), salts.len())
-}
-
 /// Maps *every* salt of a finite sequence to `project(replay)` on the
 /// replay farm, in salt order — one full sweep that yields whatever
 /// per-ordering observation the caller wants (an outcome string, a digest,
@@ -154,7 +83,7 @@ where
 /// Each probe is supervised: a replay that panics (twice) under some salt
 /// comes back as `Err(JobPanic)` in its slot instead of taking down the
 /// sweep, so one poisoned ordering cannot mask the rest of the survey.
-pub fn ordering_survey_farm<P, T, F, S>(
+pub fn ordering_survey<P, T, F, S>(
     graph: &Graph,
     base_cfg: &DefinedConfig,
     recording: &Recording<P::Ext>,
@@ -246,6 +175,21 @@ mod tests {
         (graph, roles, rec)
     }
 
+    /// How many of the salts satisfy the predicate, out of how many — a
+    /// rough measure of how order-dependent an outcome is.
+    fn sensitivity(
+        graph: &Graph,
+        cfg: &DefinedConfig,
+        rec: &Recording<BgpExt>,
+        spawn: impl Fn(NodeId) -> BgpProcess + Sync,
+        salts: std::ops::Range<u64>,
+        predicate: impl Fn(&LockstepNet<BgpProcess>) -> bool + Sync,
+        farm: &FarmConfig,
+    ) -> (usize, usize) {
+        let hits = ordering_survey(graph, cfg, rec, spawn, salts, predicate, farm);
+        (hits.iter().filter(|h| *h.as_ref().expect("no probe panics")).count(), hits.len())
+    }
+
     /// §4's discussion, end to end: even if the production ordering masks
     /// the MED bug, sweeping ordering functions in the debugging network
     /// finds an execution path where it manifests.
@@ -254,32 +198,21 @@ mod tests {
         let (graph, roles, rec) = fig4_recording();
         let cfg = DefinedConfig::default();
         let roles2 = roles;
-        let found = explore_orderings(
-            &graph,
-            &cfg,
-            &rec,
-            |id| processes(&roles2)[id.index()].clone(),
-            0..32u64,
-            |ls| {
-                ls.control_plane(roles2.r3).best_path(PREFIX).map(|p| p.route_id) == Some(2)
-            },
-        );
-        let (salt, ls) = found.expect("some ordering must trigger the bug");
+        let spawn = |id: NodeId| processes(&roles2)[id.index()].clone();
+        let serial = FarmConfig::serial();
+        let selects = |route_id: u32| {
+            move |ls: &LockstepNet<BgpProcess>| {
+                ls.control_plane(roles2.r3).best_path(PREFIX).map(|p| p.route_id) == Some(route_id)
+            }
+        };
+        let found = explore_orderings(&graph, &cfg, &rec, spawn, 0..32u64, selects(2), &serial);
+        let (_, ls) = found.expect("some ordering must trigger the bug");
         assert_eq!(ls.control_plane(roles.r3).best_path(PREFIX).unwrap().route_id, 2);
         // And sensitivity should show the bug is genuinely order-dependent:
         // some orderings select the correct p3.
-        let (correct_hits, total) = ordering_sensitivity(
-            &graph,
-            &cfg,
-            &rec,
-            |id| processes(&roles2)[id.index()].clone(),
-            0..32u64,
-            |ls| {
-                ls.control_plane(roles2.r3).best_path(PREFIX).map(|p| p.route_id) == Some(3)
-            },
-        );
+        let (correct_hits, total) =
+            sensitivity(&graph, &cfg, &rec, spawn, 0..32u64, selects(3), &serial);
         assert!(correct_hits > 0 && correct_hits < total, "mixed outcomes across orderings");
-        let _ = salt;
     }
 
     /// The farm returns the identical earliest salt and final state for
@@ -293,24 +226,24 @@ mod tests {
         let bug = |ls: &LockstepNet<BgpProcess>| {
             ls.control_plane(roles2.r3).best_path(PREFIX).map(|p| p.route_id) == Some(2)
         };
-        let serial = explore_orderings(&graph, &cfg, &rec, spawn, 0..32u64, bug)
+        let serial = FarmConfig::serial();
+        let reference = explore_orderings(&graph, &cfg, &rec, spawn, 0..32u64, bug, &serial)
             .expect("bug reachable");
-        let serial_digest = crate::order::debug_digest(&serial.1.logs());
-        let serial_sense = ordering_sensitivity(&graph, &cfg, &rec, spawn, 0..32u64, bug);
+        let ref_digest = crate::order::debug_digest(&reference.1.logs());
+        let ref_sense = sensitivity(&graph, &cfg, &rec, spawn, 0..32u64, bug, &serial);
         for jobs in [2usize, 8] {
             let farm = FarmConfig::with_jobs(jobs);
-            let (salt, ls) =
-                explore_orderings_farm(&graph, &cfg, &rec, spawn, 0..32u64, bug, &farm)
-                    .expect("bug reachable");
-            assert_eq!(salt, serial.0, "jobs={jobs}: earliest salt changed");
+            let (salt, ls) = explore_orderings(&graph, &cfg, &rec, spawn, 0..32u64, bug, &farm)
+                .expect("bug reachable");
+            assert_eq!(salt, reference.0, "jobs={jobs}: earliest salt changed");
             assert_eq!(
                 crate::order::debug_digest(&ls.logs()),
-                serial_digest,
+                ref_digest,
                 "jobs={jobs}: final execution changed"
             );
             assert_eq!(
-                ordering_sensitivity_farm(&graph, &cfg, &rec, spawn, 0..32u64, bug, &farm),
-                serial_sense,
+                sensitivity(&graph, &cfg, &rec, spawn, 0..32u64, bug, &farm),
+                ref_sense,
                 "jobs={jobs}: sensitivity tally changed"
             );
         }

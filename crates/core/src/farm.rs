@@ -4,8 +4,8 @@
 //! DEFINED's determinism (Theorem 1) makes replays *comparable*, so
 //! debugging searches — ordering sweeps, prefix bisection — are
 //! embarrassingly parallel: every probe is an independent deterministic
-//! replay. This module supplies the two ingredients that turn the serial
-//! engines into a farm without changing their answers:
+//! replay. This module supplies the two ingredients that let one search
+//! engine run on any number of workers without changing its answers:
 //!
 //! * **Worker pools** whose results are a pure function of the probe
 //!   *schedule*, never of thread timing. A salt sweep claims indices in
@@ -63,9 +63,9 @@ pub struct FarmConfig {
 
 impl FarmConfig {
     /// The serial configuration: one inline worker, binary (non-speculative)
-    /// bisection, unsharded replays. The rewritten serial engines use
-    /// exactly this, so their behaviour is the farm's `jobs = 1` column by
-    /// construction.
+    /// bisection, unsharded replays. There is no separate serial engine:
+    /// the search functions of [`crate::explore`] and [`crate::bisect`] take
+    /// a `&FarmConfig`, and this value is their one-worker reference run.
     pub fn serial() -> Self {
         FarmConfig {
             jobs: 1,

@@ -186,19 +186,6 @@ impl GvtMonitor {
         self.samples.push(GvtSample { at: net.sim().now(), gvt, floor, rollbacks });
     }
 
-    /// Rollbacks per sample interval over the most recent `window` samples —
-    /// the observed churn rate the adaptive capture interval responds to.
-    pub fn recent_rollback_rate(&self, window: usize) -> f64 {
-        let n = self.samples.len();
-        if n < 2 || window == 0 {
-            return 0.0;
-        }
-        let lo = n.saturating_sub(window + 1);
-        let spans = (n - 1 - lo) as f64;
-        let delta = self.samples[n - 1].rollbacks - self.samples[lo].rollbacks;
-        delta as f64 / spans.max(1.0)
-    }
-
     /// The samples collected so far.
     pub fn samples(&self) -> &[GvtSample] {
         &self.samples

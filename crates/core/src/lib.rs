@@ -18,8 +18,8 @@
 //! * **DEFINED-LS** ([`ls::LockstepNet`]) — replays a recording in lockstep
 //!   (transmission/processing phases), applying the *same* ordering
 //!   function, which reproduces the production execution exactly
-//!   (Theorem 1). A threaded runtime ([`threaded`]) demonstrates the
-//!   distributed-semaphore coordination with real threads.
+//!   (Theorem 1). Its waves can execute across worker shards
+//!   ([`shard::ShardedWaves`]) — real threads, identical commits.
 //! * **Interactive debugging** ([`debugger::Debugger`]) — single-event
 //!   stepping, state inspection, breakpoints, and in-place patching; a
 //!   text-command front-end ([`session::DebugSession`]) for scripts and
@@ -96,13 +96,12 @@ pub mod rb;
 pub mod recorder;
 pub mod shard;
 pub mod snapshot;
-pub mod threaded;
 pub mod wire;
 
 pub use config::{DefinedConfig, OrderingMode};
 pub use farm::{FarmConfig, ProbeSession};
 pub use harness::RbNetwork;
-pub use ls::{LockstepNet, ShardedNet};
+pub use ls::LockstepNet;
 pub use metrics::RbMetrics;
 pub use order::{Annotation, EventClass, MsgId, OrderKey};
 pub use rb::{Envelope, RbShim};

@@ -14,11 +14,11 @@
 //! the group they were tagged with.
 //!
 //! The engine exposes single-event stepping for the interactive debugger and
-//! a timed model ([`LsTiming`]) that estimates per-step response time for
-//! Figs. 6c and 8c.
+//! a timed model ([`LockstepNet::step_times`]) that estimates per-step
+//! response time for Figs. 6c and 8c.
 
 use crate::config::DefinedConfig;
-use crate::order::{Annotation, MsgId};
+use crate::order::Annotation;
 use crate::recorder::{CommitRecord, Recording};
 use crate::shard::{DeliveryCtx, LsNode, LsPayload, Pending, ShardedWaves, WaveEngine};
 use crate::snapshot::NodeSnapshot;
@@ -31,28 +31,15 @@ use routing::ControlPlane;
 use std::collections::{BTreeMap, HashSet};
 use topology::Graph;
 
-/// Parameters of the response-time model (Fig. 6c / 8c).
-#[derive(Clone, Copy, Debug)]
-pub struct LsTiming {
-    /// Cost of delivering one event to the control plane (ns), covering the
-    /// debugger bookkeeping the paper's implementation pays per event.
-    pub per_delivery_ns: u64,
-    /// Fixed per-phase coordination cost (ns) of the distributed semaphore
-    /// beyond propagation (syscalls, TCP handling).
-    pub barrier_base_ns: u64,
-    /// The coordinator node (markers and GO messages flow to/from it).
-    pub coordinator: NodeId,
-}
-
-impl Default for LsTiming {
-    fn default() -> Self {
-        LsTiming {
-            per_delivery_ns: 2_000_000, // 2 ms per delivered event
-            barrier_base_ns: 5_000_000, // 5 ms per barrier round
-            coordinator: NodeId(0),
-        }
-    }
-}
+// The response-time model of Fig. 6c / 8c ([`LockstepNet::step_times`]).
+/// Cost of delivering one event to the control plane (ns), covering the
+/// debugger bookkeeping the paper's implementation pays per event: 2 ms.
+const PER_DELIVERY_NS: u64 = 2_000_000;
+/// Fixed per-phase coordination cost (ns) of the distributed semaphore
+/// beyond propagation (syscalls, TCP handling): 5 ms per barrier round.
+const BARRIER_BASE_NS: u64 = 5_000_000;
+/// The coordinator node (markers and GO messages flow to/from it).
+const COORDINATOR: NodeId = NodeId(0);
 
 /// The deliveries staged for one lockstep sub-cycle.
 type Wave<P> = Vec<Pending<<P as ControlPlane>::Msg, <P as ControlPlane>::Ext>>;
@@ -69,12 +56,6 @@ pub struct LsEvent {
     /// The committed record (key, annotation, payload digest).
     pub record: CommitRecord,
 }
-
-/// A [`LockstepNet`] whose waves execute across worker shards — the two
-/// are the same type: sharding is a property of the installed
-/// [`WaveEngine`], selected with [`LockstepNet::with_shards`], and by the
-/// engine contract it changes only cost, never results (DESIGN.md §10).
-pub type ShardedNet<P> = LockstepNet<P>;
 
 /// The lockstep debugging network.
 pub struct LockstepNet<P: ControlPlane> {
@@ -102,7 +83,6 @@ pub struct LockstepNet<P: ControlPlane> {
     next_wave: Wave<P>,
     holdover: BTreeMap<u64, Wave<P>>,
     step_times: Vec<(u64, f64)>,
-    timing: LsTiming,
     done: bool,
     /// How staged waves execute: serial sweep (`ShardedWaves::new(1)`, the
     /// default) or partitioned across worker shards.
@@ -156,28 +136,17 @@ impl<P: ControlPlane> LockstepNet<P> {
             next_wave: Vec::new(),
             holdover: BTreeMap::new(),
             step_times: Vec::new(),
-            timing: LsTiming::default(),
             done: false,
             engine: Box::new(ShardedWaves::new(1)),
         }
-    }
-
-    /// Overrides the response-time model.
-    pub fn set_timing(&mut self, timing: LsTiming) {
-        self.timing = timing;
     }
 
     /// Executes waves across `shards` worker shards (`0` = auto, the host's
     /// available parallelism). By the [`WaveEngine`] contract this changes
     /// only cost: committed logs, images, and transcripts are byte-identical
     /// for every shard count.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.engine = Box::new(ShardedWaves::new(shards));
-    }
-
-    /// Builder-style [`LockstepNet::set_shards`].
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
+        self.engine = Box::new(ShardedWaves::new(shards));
         self
     }
 
@@ -187,7 +156,8 @@ impl<P: ControlPlane> LockstepNet<P> {
     }
 
     /// Installs a custom wave engine (e.g. an instrumented one in tests).
-    pub fn set_engine(&mut self, engine: Box<dyn WaveEngine<P>>) {
+    #[cfg(test)]
+    pub(crate) fn set_engine(&mut self, engine: Box<dyn WaveEngine<P>>) {
         self.engine = engine;
     }
 
@@ -479,13 +449,12 @@ impl<P: ControlPlane> LockstepNet<P> {
             }
             *per_node.entry(p.to).or_default() += 1;
         }
-        let max_proc =
-            per_node.values().max().copied().unwrap_or(0) * self.timing.per_delivery_ns;
+        let max_proc = per_node.values().max().copied().unwrap_or(0) * PER_DELIVERY_NS;
         let max_coord = (0..self.nodes.len())
-            .map(|i| self.dist[self.timing.coordinator.index()][i])
+            .map(|i| self.dist[COORDINATOR.index()][i])
             .max()
             .unwrap_or(0);
-        let barrier = 2 * (max_coord + self.timing.barrier_base_ns);
+        let barrier = 2 * (max_coord + BARRIER_BASE_NS);
         let total_ns = barrier + max_link + max_proc;
         self.step_times.push((self.group, total_ns as f64 / 1e9));
     }
@@ -861,9 +830,6 @@ pub fn first_divergence(
     None
 }
 
-/// Placeholder for unused id type re-export (kept for debugger displays).
-pub type LsMsgId = MsgId;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1095,6 +1061,67 @@ mod tests {
         four.restore_image_seeded(img, &history);
         four.run_to_end();
         assert_eq!(four.logs(), &serial_logs[..], "cross-shard-count restore diverged");
+    }
+
+    /// One worker shard per node — the thread-per-node shape, where OS
+    /// scheduling decides which node's deliveries finish first — commits
+    /// exactly the serial replayer's logs and the production run's, run
+    /// after run, and across a death cut (a crashed node absorbing its
+    /// peers' sends).
+    #[test]
+    fn one_shard_per_node_matches_serial_and_production_repeatably() {
+        use routing::rip::{RefreshMode, RipConfig, RipExt, RipProcess};
+
+        fn check<P: ControlPlane + 'static>(
+            g: &Graph,
+            net: RbNetwork<P>,
+            spawn: impl Fn(NodeId) -> P + Clone,
+            death_cuts: usize,
+            what: &str,
+        ) {
+            let upto = net.completed_group(2);
+            let (rec, rb_logs) = net.into_recording();
+            assert_eq!(rec.mutes.len(), death_cuts, "{what}: recorded death cuts");
+            let cfg = DefinedConfig::default();
+            let replay = |per_node: bool| {
+                let mut ls = LockstepNet::new(g, cfg.clone(), rec.clone(), spawn.clone());
+                if per_node {
+                    let n = g.node_count();
+                    ls.set_engine(Box::new(ShardedWaves::new(n).with_min_wave_per_shard(0)));
+                    assert_eq!(ls.shards(), n);
+                }
+                ls.run_to_end();
+                ls.logs().to_vec()
+            };
+            let serial = replay(false);
+            let first = replay(true);
+            assert_eq!(first, serial, "{what}: one shard per node diverged from serial");
+            let div = first_divergence(&rb_logs, &first, upto);
+            assert!(div.is_none(), "{what}: must reproduce the production run: {div:?}");
+            assert_eq!(replay(true), first, "{what}: not repeatable across runs");
+        }
+
+        let g = canonical::ring(4, SimDuration::from_millis(4));
+        let f = OspfProcess::for_graph(&g, OspfConfig::stress(4));
+        let procs: Vec<OspfProcess> = (0..4).map(|i| f(NodeId(i))).collect();
+        let spawn = move |id: NodeId| procs[id.index()].clone();
+        let mut net = RbNetwork::new(&g, DefinedConfig::default(), 21, 0.6, spawn.clone());
+        net.run_until(SimTime::from_secs(4));
+        check(&g, net, spawn, 0, "ring OSPF");
+
+        let (g, roles) = canonical::fig5_rip(SimDuration::from_millis(10));
+        let spawn = {
+            let g = g.clone();
+            move |id: NodeId| {
+                let cfg = RipConfig::emulation(RefreshMode::DestinationOnly);
+                RipProcess::new(id, g.neighbors(id), cfg)
+            }
+        };
+        let mut net = RbNetwork::new(&g, DefinedConfig::default(), 2, 0.6, spawn.clone());
+        net.inject_external(SimTime::from_millis(100), roles.dest, RipExt::Connect { prefix: 7 });
+        net.schedule_node(SimTime::from_secs(6), roles.r2, false);
+        net.run_until(SimTime::from_secs(20));
+        check(&g, net, spawn, 1, "Fig. 5 RIP crash");
     }
 
     /// Sharded phase advancement stops on the same exact group boundaries

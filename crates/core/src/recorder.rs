@@ -235,7 +235,7 @@ impl<X: Wire> Recording<X> {
 }
 
 /// One committed delivered event, used to compare executions across
-/// RB-production, LS-replay, and threaded-LS runs.
+/// RB-production and LS-replay runs (serial or sharded).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitRecord {
     /// The event's order key (already incorporates group/chain/class).

@@ -108,11 +108,6 @@ where
         &self.dbg
     }
 
-    /// Mutable access to the wrapped debugger.
-    pub fn debugger_mut(&mut self) -> &mut Debugger<P> {
-        &mut self.dbg
-    }
-
     fn parse_node(&self, tok: Option<&str>) -> Result<NodeId, SessionError> {
         let t = tok.ok_or_else(|| SessionError::BadArguments("expected a node id".into()))?;
         let raw = t.strip_prefix('n').unwrap_or(t);

@@ -23,11 +23,10 @@
 //! [`WaveEngine`] is the seam: [`ShardedWaves`] executes a wave across a
 //! block partition of the nodes (`shards = 1` is the inline serial sweep),
 //! and an alternative engine — e.g. GVT-bounded optimistic execution over
-//! the `core::rb` Time Warp machinery — can be swapped in via
-//! [`LockstepNet::set_engine`] without touching the replay state machine.
+//! the `core::rb` Time Warp machinery — implements the same trait without
+//! touching the replay state machine.
 //!
 //! [`LockstepNet`]: crate::ls::LockstepNet
-//! [`LockstepNet::set_engine`]: crate::ls::LockstepNet::set_engine
 //! [`EventIdentity`]: crate::order::EventIdentity
 
 use crate::config::OrderingMode;

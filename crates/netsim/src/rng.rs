@@ -140,15 +140,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_index(items.len())])
-        }
-    }
 }
 
 #[cfg(test)]

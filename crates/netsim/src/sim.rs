@@ -231,19 +231,9 @@ impl<P: Process> Simulator<P> {
         self.links.get(&LinkKey { src, dst }).map(|l| l.up).unwrap_or(false)
     }
 
-    /// Base parameters of the directed link, if it exists.
-    pub fn link_params(&self, src: NodeId, dst: NodeId) -> Option<LinkParams> {
-        self.links.get(&LinkKey { src, dst }).map(|l| l.params)
-    }
-
     /// Per-node counters.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable counters (e.g. to reset between trace events).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// The trace log.

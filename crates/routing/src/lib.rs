@@ -103,8 +103,8 @@ impl<M> Outbox<M> {
 ///
 /// Control planes and their payloads are `Send`/`Sync`: a pure state
 /// machine owns no thread-affine resources, and the bound is what lets the
-/// threaded lockstep runtime and the replay farm move whole debugging
-/// networks across worker threads.
+/// sharded wave engine and the replay farm move whole debugging networks
+/// across worker threads.
 pub trait ControlPlane: Snapshotable + fmt::Debug + Send {
     /// Wire message type.
     type Msg: Clone + fmt::Debug + PartialEq + Send + Sync;

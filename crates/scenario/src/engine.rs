@@ -1,13 +1,16 @@
 //! The engine: compiles a [`Scenario`] onto the DEFINED record → replay
-//! workflow. All protocol dispatch lives here; everything downstream of the
-//! dispatch is generic over [`ControlPlane`].
+//! workflow. Every verb walks the same pipeline — decode ([`decode_for`]),
+//! validate ([`Scenario::checked_build`]), dispatch ([`with_protocol!`]),
+//! build ([`Scenario::build`] / [`Scenario::production_net`]), run, probe
+//! ([`Scenario::probe_on`]), render — and everything downstream of the
+//! dispatch is generic over [`ScenarioProtocol`] (DESIGN.md §0).
 
 use crate::spec::{ExtSpec, Fault, Probe, ProtocolSpec};
 use crate::stream::StoreStreamer;
 use crate::{Scenario, ScenarioError};
-use defined_core::bisect::{localise_fault_farm, BisectReport};
+use defined_core::bisect::{localise_fault, BisectReport};
 use defined_core::debugger::Debugger;
-use defined_core::explore::ordering_survey_farm;
+use defined_core::explore::ordering_survey;
 use defined_core::farm::JobPanic;
 use defined_core::gvt::GvtMonitor;
 use defined_core::ls::first_divergence;
@@ -106,66 +109,113 @@ impl GvtReport {
     }
 }
 
-pub(crate) fn ext_to_rip(ev: &ExtSpec) -> Option<RipExt> {
-    match ev {
-        ExtSpec::RipConnect { prefix } => Some(RipExt::Connect { prefix: *prefix }),
-        _ => None,
+/// What the engine needs from a control plane beyond [`ControlPlane`]: wire
+/// codecs for its payloads, and the two protocol-specific translations a
+/// scenario carries as data — injections in, the probe's report out.
+pub(crate) trait ScenarioProtocol:
+    ControlPlane<Msg: Wire, Ext: Wire> + Clone + Sync + 'static
+{
+    /// The runtime external `ev` describes; `None` when it is another
+    /// protocol's.
+    fn ext(ev: &ExtSpec) -> Option<Self::Ext>;
+
+    /// The probe's report, read off one control plane; `None` when the
+    /// probe is another protocol's.
+    fn outcome(probe: &Probe, cp: &Self) -> Option<String>;
+}
+
+impl ScenarioProtocol for RipProcess {
+    fn ext(ev: &ExtSpec) -> Option<RipExt> {
+        match ev {
+            ExtSpec::RipConnect { prefix } => Some(RipExt::Connect { prefix: *prefix }),
+            _ => None,
+        }
+    }
+
+    fn outcome(probe: &Probe, cp: &Self) -> Option<String> {
+        match *probe {
+            Probe::RipRoute { node, prefix } => {
+                let via = cp.route(prefix).and_then(|r| r.next_hop);
+                Some(match via {
+                    Some(nh) => format!("{node} routes {prefix} via {nh}"),
+                    None => format!("{node} has no route to {prefix}"),
+                })
+            }
+            _ => None,
+        }
     }
 }
 
-pub(crate) fn ext_to_bgp(ev: &ExtSpec) -> Option<BgpExt> {
-    match ev {
-        ExtSpec::BgpAnnounce { prefix, attrs } => {
-            Some(BgpExt::Announce { prefix: *prefix, attrs: *attrs })
+impl ScenarioProtocol for OspfProcess {
+    fn ext(_ev: &ExtSpec) -> Option<()> {
+        None // OSPF takes no runtime externals; validation rejects them.
+    }
+
+    fn outcome(probe: &Probe, cp: &Self) -> Option<String> {
+        match *probe {
+            Probe::OspfReachable { node } => {
+                Some(format!("{node} reaches {} destinations", cp.routing_table().len()))
+            }
+            _ => None,
         }
-        ExtSpec::BgpWithdraw { prefix, route_id } => {
-            Some(BgpExt::Withdraw { prefix: *prefix, route_id: *route_id })
-        }
-        _ => None,
     }
 }
 
-pub(crate) fn ext_to_ospf(_ev: &ExtSpec) -> Option<()> {
-    None // OSPF takes no runtime externals; validation rejects them.
-}
-
-/// The probe's report, read off one RIP control plane.
-fn rip_outcome(probe: &Probe, cp: &RipProcess) -> Option<String> {
-    match *probe {
-        Probe::RipRoute { node, prefix } => {
-            let via = cp.route(prefix).and_then(|r| r.next_hop);
-            Some(match via {
-                Some(nh) => format!("{node} routes {prefix} via {nh}"),
-                None => format!("{node} has no route to {prefix}"),
-            })
+impl ScenarioProtocol for BgpProcess {
+    fn ext(ev: &ExtSpec) -> Option<BgpExt> {
+        match ev {
+            ExtSpec::BgpAnnounce { prefix, attrs } => {
+                Some(BgpExt::Announce { prefix: *prefix, attrs: *attrs })
+            }
+            ExtSpec::BgpWithdraw { prefix, route_id } => {
+                Some(BgpExt::Withdraw { prefix: *prefix, route_id: *route_id })
+            }
+            _ => None,
         }
-        _ => None,
+    }
+
+    fn outcome(probe: &Probe, cp: &Self) -> Option<String> {
+        match *probe {
+            Probe::BgpBest { node, prefix } => {
+                let best = cp.best_path(prefix).map(|p| p.route_id);
+                Some(match best {
+                    Some(id) => format!("{node} selects p{id} for {prefix}"),
+                    None => format!("{node} has no path to {prefix}"),
+                })
+            }
+            _ => None,
+        }
     }
 }
 
-/// The probe's report, read off one BGP control plane.
-fn bgp_outcome(probe: &Probe, cp: &BgpProcess) -> Option<String> {
-    match *probe {
-        Probe::BgpBest { node, prefix } => {
-            let best = cp.best_path(prefix).map(|p| p.route_id);
-            Some(match best {
-                Some(id) => format!("{node} selects p{id} for {prefix}"),
-                None => format!("{node} has no path to {prefix}"),
-            })
+/// The one protocol dispatch: evaluates `$body` with `$procs` bound to the
+/// scenario's control planes, one per node of `$g` — a `Vec<P>` for the
+/// `P: ScenarioProtocol` the scenario names, built by the registry
+/// spawners. `$body` is instantiated once per protocol, so it must be
+/// generic in `P` (in practice: one call to a `*_typed` function).
+macro_rules! with_protocol {
+    ($scn:expr, $g:expr, |$procs:ident| $body:expr) => {
+        match $scn.protocol {
+            $crate::ProtocolSpec::Rip { mode } => {
+                let $procs = $crate::rip_processes($g, mode);
+                $body
+            }
+            $crate::ProtocolSpec::Ospf => {
+                let $procs = $crate::ospf_processes($g);
+                $body
+            }
+            $crate::ProtocolSpec::Bgp { mode } => {
+                // Unreachable: every caller ran `checked_build`, whose
+                // `validate_on` rejects BGP off the Fig. 4 topology.
+                let roles = $scn.topology.fig4_roles().expect("validated");
+                let $procs = $crate::bgp_fig4_processes(&roles, mode);
+                $body
+            }
         }
-        _ => None,
-    }
+    };
 }
-
-/// The probe's report, read off one OSPF control plane.
-fn ospf_outcome(probe: &Probe, cp: &OspfProcess) -> Option<String> {
-    match *probe {
-        Probe::OspfReachable { node } => {
-            Some(format!("{node} reaches {} destinations", cp.routing_table().len()))
-        }
-        _ => None,
-    }
-}
+#[cfg(test)]
+pub(crate) use with_protocol; // stream.rs's tests build production networks through it
 
 /// Decodes a recording and checks it was taken on a network of this
 /// scenario's size — `LockstepNet::new` asserts on a mismatch, and a
@@ -176,11 +226,10 @@ fn ospf_outcome(probe: &Probe, cp: &OspfProcess) -> Option<String> {
 /// (sniffed by its magic; torn tails recover to the last sync point,
 /// corruption is a typed [`ScenarioError::Store`]) and the raw in-memory
 /// [`Recording::to_bytes`] framing.
-fn decode_for<P>(g: &Graph, bytes: &[u8]) -> Result<Recording<P::Ext>, ScenarioError>
-where
-    P: ControlPlane,
-    P::Ext: Wire,
-{
+fn decode_for<P: ScenarioProtocol>(
+    g: &Graph,
+    bytes: &[u8],
+) -> Result<Recording<P::Ext>, ScenarioError> {
     let rec = if defined_store::is_store(bytes) {
         defined_store::open_bytes::<P::Ext>(bytes)?.recording
     } else {
@@ -365,71 +414,31 @@ impl Scenario {
 
     fn record_dispatch(&self, store: Option<&Path>) -> Result<RecordedRun, ScenarioError> {
         let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                let procs = crate::registry::rip_processes(&g, mode);
-                self.record_typed(&g, procs, ext_to_rip, |net| self.probe_rip(net), store)
-            }
-            ProtocolSpec::Ospf => {
-                let procs = crate::registry::ospf_processes(&g);
-                self.record_typed(&g, procs, ext_to_ospf, |net| self.probe_ospf(net), store)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                let procs = crate::registry::bgp_fig4_processes(&roles, mode);
-                self.record_typed(&g, procs, ext_to_bgp, |net| self.probe_bgp(net), store)
-            }
-        }
+        with_protocol!(self, &g, |procs| self.record_typed(&g, procs, store))
     }
 
-    /// Replays a serialised recording in lockstep and returns the per-node
-    /// committed logs (for equivalence checks against
-    /// [`RecordedRun::logs`]).
-    pub fn replay_logs(&self, bytes: &[u8]) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
-        self.replay_logs_sharded(bytes, 1)
-    }
-
-    /// [`replay_logs`](Self::replay_logs) with the replay's waves executed
-    /// across `shards` worker shards (`0` = auto). The logs are
-    /// byte-identical for every shard count — the `--shards` self-check in
-    /// `defined-dbg record` leans on this.
+    /// Replays a serialised recording in lockstep, its waves executed
+    /// across `shards` worker shards (`0` = auto, `1` = serial), and
+    /// returns the per-node committed logs (for equivalence checks against
+    /// [`RecordedRun::logs`]). The logs are byte-identical for every shard
+    /// count — the `--shards` self-check in `defined-dbg record` leans on
+    /// this.
     pub fn replay_logs_sharded(
         &self,
         bytes: &[u8],
         shards: usize,
     ) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
         let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.replay_typed(&g, crate::registry::rip_processes(&g, mode), bytes, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.replay_typed(&g, crate::registry::ospf_processes(&g), bytes, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.replay_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    shards,
-                )
-            }
-        }
+        with_protocol!(self, &g, |procs| self.replay_typed(&g, procs, bytes, shards))
     }
 
     /// Loads a serialised recording into a debugging network and drives a
     /// scripted [`DebugSession`] over it, returning the transcript (the
     /// `debug` half of the workflow). Deterministic: the same recording and
-    /// script always produce the same transcript.
-    pub fn debug_transcript(&self, bytes: &[u8], script: &str) -> Result<String, ScenarioError> {
-        self.debug_transcript_sharded(bytes, script, 1)
-    }
-
-    /// [`debug_transcript`](Self::debug_transcript) with the underlying
-    /// replay sharded `shards` ways (`0` = auto). Interactive stepping is
-    /// wave-serial either way; sharding accelerates the bulk moves (`run`,
-    /// `stepg`, checkpoint re-execution) and never changes the transcript.
+    /// script always produce the same transcript, for every `shards` value
+    /// (`0` = auto, `1` = serial) — interactive stepping is wave-serial
+    /// either way; sharding accelerates the bulk moves (`run`, `stepg`,
+    /// checkpoint re-execution).
     pub fn debug_transcript_sharded(
         &self,
         bytes: &[u8],
@@ -437,42 +446,21 @@ impl Scenario {
         shards: usize,
     ) -> Result<String, ScenarioError> {
         let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.debug_typed(&g, crate::registry::rip_processes(&g, mode), bytes, script, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.debug_typed(&g, crate::registry::ospf_processes(&g), bytes, script, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.debug_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    script,
-                    shards,
-                )
-            }
-        }
+        with_protocol!(self, &g, |procs| self.debug_typed(&g, procs, bytes, script, shards))
     }
 
     /// Builds the RB-instrumented production network with the workload and
     /// fault schedule applied, ready to run.
-    pub(crate) fn production_net<P>(
+    pub(crate) fn production_net<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
-        conv: impl Fn(&ExtSpec) -> Option<P::Ext>,
-    ) -> Result<RbNetwork<P>, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-    {
+    ) -> Result<RbNetwork<P>, ScenarioError> {
         let mut net = RbNetwork::new(g, self.run_config(), self.seed, self.jitter_frac, {
             move |id: NodeId| procs[id.index()].clone()
         });
         for inj in &self.workload {
-            let ev = conv(&inj.ev).ok_or_else(|| {
+            let ev = P::ext(&inj.ev).ok_or_else(|| {
                 ScenarioError::Invalid(format!("injection {:?} does not fit the protocol", inj.ev))
             })?;
             net.inject_external(inj.at, inj.node, ev);
@@ -529,19 +517,13 @@ impl Scenario {
     /// Runs the production network to the deadline — sampling the GVT
     /// bound and draining into the store, if any, at every slice — and
     /// extracts the recording.
-    fn record_typed<P>(
+    fn record_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
-        conv: impl Fn(&ExtSpec) -> Option<P::Ext>,
-        outcome: impl FnOnce(&RbNetwork<P>) -> Option<String>,
         store: Option<&Path>,
-    ) -> Result<RecordedRun, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
-        let mut net = self.production_net(g, procs, conv)?;
+    ) -> Result<RecordedRun, ScenarioError> {
+        let mut net = self.production_net(g, procs)?;
         let mut streamer = match store {
             Some(path) => {
                 let io = FileIo::create(path).map_err(StoreError::from)?;
@@ -554,11 +536,12 @@ impl Scenario {
             monitor.observe(net);
             streamer.as_mut().map_or(Ok(()), |s| s.drain(net))
         })?;
-        let outcome = outcome(&net);
+        let outcome = self.probe_on(|node| net.control_plane(node));
         let upto = net.completed_group(2);
         // Publish the production run's rollback tallies as gauge-style
-        // counters (§11): every subcommand that records can then surface
-        // the same `gvt:` line from the obs snapshot alone.
+        // counters (§11) for `--profile` and the benchmark's layer table.
+        // Nothing printed reads them back: the `gvt:` line renders from the
+        // `GvtReport` below, so stdout is the same with obs compiled out.
         let m = net.total_metrics();
         obs::counter!("rb.rollbacks").set(m.rollbacks);
         obs::counter!("rb.rolled_entries").set(m.rolled_entries);
@@ -598,61 +581,51 @@ impl Scenario {
         })
     }
 
-    fn replay_typed<P>(
+    /// The build stage of every replaying verb: the lockstep debugging
+    /// network over `rec`, its waves executed across `shards` shards.
+    fn build<P: ScenarioProtocol>(
+        &self,
+        g: &Graph,
+        procs: &[P],
+        rec: Recording<P::Ext>,
+        shards: usize,
+    ) -> LockstepNet<P> {
+        LockstepNet::new(g, self.run_config(), rec, |id: NodeId| procs[id.index()].clone())
+            .with_shards(shards)
+    }
+
+    /// The probe stage: the outcome probe's report, read off the control
+    /// plane `cp` hands back for the probed node. `None` for `Probe::None`.
+    fn probe_on<'a, P: ScenarioProtocol>(
+        &self,
+        cp: impl FnOnce(NodeId) -> &'a P,
+    ) -> Option<String> {
+        P::outcome(&self.probe, cp(self.probe.node()?))
+    }
+
+    fn replay_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         bytes: &[u8],
         shards: usize,
-    ) -> Result<Vec<Vec<CommitRecord>>, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let mut ls = LockstepNet::new(g, self.run_config(), rec, move |id: NodeId| {
-            procs[id.index()].clone()
-        })
-        .with_shards(shards);
+    ) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
+        let mut ls = self.build(g, &procs, decode_for::<P>(g, bytes)?, shards);
         ls.run_to_end();
         Ok(ls.logs().to_vec())
     }
 
-    fn debug_typed<P>(
+    fn debug_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         bytes: &[u8],
         script: &str,
         shards: usize,
-    ) -> Result<String, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Msg: Wire,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let ls = LockstepNet::new(g, self.run_config(), rec, move |id: NodeId| {
-            procs[id.index()].clone()
-        })
-        .with_shards(shards);
+    ) -> Result<String, ScenarioError> {
+        let ls = self.build(g, &procs, decode_for::<P>(g, bytes)?, shards);
         let mut session = DebugSession::new(Debugger::new(ls), g.node_count());
         Ok(session.run_script(script))
-    }
-
-    fn probe_rip(&self, net: &RbNetwork<RipProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        rip_outcome(&self.probe, net.control_plane(node))
-    }
-
-    fn probe_bgp(&self, net: &RbNetwork<BgpProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        bgp_outcome(&self.probe, net.control_plane(node))
-    }
-
-    fn probe_ospf(&self, net: &RbNetwork<OspfProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        ospf_outcome(&self.probe, net.control_plane(node))
     }
 
     /// Sweeps `salts` permuted orderings over a recording on the replay
@@ -669,35 +642,7 @@ impl Scenario {
     ) -> Result<ExploreReport, ScenarioError> {
         let g = self.checked_build()?;
         self.require_probe()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => self.explore_typed(
-                &g,
-                crate::registry::rip_processes(&g, mode),
-                bytes,
-                salts,
-                farm,
-                rip_outcome,
-            ),
-            ProtocolSpec::Ospf => self.explore_typed(
-                &g,
-                crate::registry::ospf_processes(&g),
-                bytes,
-                salts,
-                farm,
-                ospf_outcome,
-            ),
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.explore_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    salts,
-                    farm,
-                    bgp_outcome,
-                )
-            }
-        }
+        with_protocol!(self, &g, |procs| self.explore_typed(&g, procs, bytes, salts, farm))
     }
 
     /// Localises when the scenario's final probe outcome was established:
@@ -706,9 +651,8 @@ impl Scenario {
     /// steps that group for the exact event. Returns `Ok(None)` only for
     /// degenerate (group-less) recordings.
     ///
-    /// Like [`defined_core::bisect::first_bad_group_farm`], the bisection
-    /// assumes the predicate
-    /// — "the probe already reports the final outcome" — is *monotone*
+    /// Like [`defined_core::bisect::first_bad_group`], the bisection assumes
+    /// the predicate — "the probe already reports the final outcome" — is *monotone*
     /// over prefixes, which holds when the outcome persists once
     /// established (the case-study bugs: a wrong best path, a stuck stale
     /// route). On scenarios whose outcome oscillates before settling
@@ -725,28 +669,7 @@ impl Scenario {
     ) -> Result<Option<BisectSummary>, ScenarioError> {
         let g = self.checked_build()?;
         self.require_probe()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => self.bisect_typed(
-                &g,
-                crate::registry::rip_processes(&g, mode),
-                bytes,
-                farm,
-                rip_outcome,
-            ),
-            ProtocolSpec::Ospf => {
-                self.bisect_typed(&g, crate::registry::ospf_processes(&g), bytes, farm, ospf_outcome)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.bisect_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    farm,
-                    bgp_outcome,
-                )
-            }
-        }
+        with_protocol!(self, &g, |procs| self.bisect_typed(&g, procs, bytes, farm))
     }
 
     fn require_probe(&self) -> Result<(), ScenarioError> {
@@ -759,34 +682,30 @@ impl Scenario {
         Ok(())
     }
 
-    fn explore_typed<P>(
+    /// The probe's report on a replay — what the search verbs observe.
+    fn read_probe<P: ScenarioProtocol>(&self, ls: &LockstepNet<P>) -> String {
+        self.probe_on(|node| ls.control_plane(node))
+            .expect("require_probe passed and validate_on fitted the probe to the protocol")
+    }
+
+    fn explore_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         bytes: &[u8],
         salts: u64,
         farm: &FarmConfig,
-        outcome: impl Fn(&Probe, &P) -> Option<String> + Sync,
-    ) -> Result<ExploreReport, ScenarioError>
-    where
-        P: ControlPlane + Clone + Sync + 'static,
-        P::Ext: Wire,
-    {
+    ) -> Result<ExploreReport, ScenarioError> {
         let rec = decode_for::<P>(g, bytes)?;
-        let spawn = move |id: NodeId| procs[id.index()].clone();
-        let cfg = self.run_config();
-        let node = self.probe.node().expect("probe checked");
-        let read = |ls: &LockstepNet<P>| {
-            outcome(&self.probe, ls.control_plane(node)).expect("probe fits the protocol")
-        };
-        let mut base =
-            LockstepNet::new(g, cfg.clone(), rec.clone(), &spawn).with_shards(farm.shards);
+        let mut base = self.build(g, &procs, rec.clone(), farm.shards);
         base.run_to_end();
-        let baseline = read(&base);
+        let baseline = self.read_probe(&base);
+        let spawn = |id: NodeId| procs[id.index()].clone();
         // One sweep yields everything the report needs: each salt's outcome
         // string, from which both the sensitivity tally and the earliest
         // divergence fall out — half the replays of a find-then-count pair.
-        let outcomes = ordering_survey_farm(g, &cfg, &rec, &spawn, 0..salts, read, farm);
+        let read = |ls: &LockstepNet<P>| self.read_probe(ls);
+        let outcomes = ordering_survey(g, &self.run_config(), &rec, spawn, 0..salts, read, farm);
         let mut divergent = 0;
         let mut found = None;
         let mut failures = Vec::new();
@@ -805,38 +724,27 @@ impl Scenario {
         Ok(ExploreReport { baseline, found, divergent, total: salts as usize, failures })
     }
 
-    fn bisect_typed<P>(
+    fn bisect_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         bytes: &[u8],
         farm: &FarmConfig,
-        outcome: impl Fn(&Probe, &P) -> Option<String> + Sync,
-    ) -> Result<Option<BisectSummary>, ScenarioError>
-    where
-        P: ControlPlane + Clone + Sync + 'static,
-        P::Msg: Wire,
-        P::Ext: Wire,
-    {
+    ) -> Result<Option<BisectSummary>, ScenarioError> {
         let rec = decode_for::<P>(g, bytes)?;
-        let spawn = move |id: NodeId| procs[id.index()].clone();
-        let cfg = self.run_config();
-        let node = self.probe.node().expect("probe checked");
-        let read = |ls: &LockstepNet<P>| {
-            outcome(&self.probe, ls.control_plane(node)).expect("probe fits the protocol")
-        };
-        let mut full =
-            LockstepNet::new(g, cfg.clone(), rec.clone(), &spawn).with_shards(farm.shards);
+        let mut full = self.build(g, &procs, rec.clone(), farm.shards);
         full.run_to_end();
-        let target = read(&full);
+        let target = self.read_probe(&full);
+        let spawn = |id: NodeId| procs[id.index()].clone();
         // The speculation width fixes the probe *schedule*; keeping it
         // constant (rather than tied to `jobs`) makes the rendered report —
         // replay count included — byte-identical for every `--jobs` value.
         let farm = FarmConfig { speculation: 4, ..*farm };
-        let bad = |ls: &LockstepNet<P>| read(ls) == target;
+        let bad = |ls: &LockstepNet<P>| self.read_probe(ls) == target;
         // One call shares the probe sessions between the group bisection
         // and the event scan, so the scan seeds from their checkpoints.
-        let Some((report, located)) = localise_fault_farm(g, &cfg, &rec, &spawn, bad, &farm)
+        let Some((report, located)) =
+            localise_fault(g, &self.run_config(), &rec, spawn, bad, &farm)
         else {
             return Ok(None); // Only a degenerate group-less recording.
         };
@@ -854,36 +762,16 @@ impl Scenario {
     /// [`ScenarioError::Store`] — never a panic, never a silent pass.
     pub fn verify_store(&self, bytes: &[u8], shards: usize) -> Result<VerifyReport, ScenarioError> {
         let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.verify_typed(&g, crate::registry::rip_processes(&g, mode), bytes, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.verify_typed(&g, crate::registry::ospf_processes(&g), bytes, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.verify_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    shards,
-                )
-            }
-        }
+        with_protocol!(self, &g, |procs| self.verify_typed(&g, procs, bytes, shards))
     }
 
-    fn verify_typed<P>(
+    fn verify_typed<P: ScenarioProtocol>(
         &self,
         g: &Graph,
         procs: Vec<P>,
         bytes: &[u8],
         shards: usize,
-    ) -> Result<VerifyReport, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
+    ) -> Result<VerifyReport, ScenarioError> {
         let r = defined_store::open_bytes_strict::<P::Ext>(bytes)?;
         if r.recording.n_nodes != g.node_count() {
             return Err(ScenarioError::BadRecording);
@@ -891,11 +779,7 @@ impl Scenario {
         let commits = r.commits.expect("strict open only passes finished stores");
         let upto = r.upto.expect("strict open only passes finished stores");
         let last_group = r.recording.last_group;
-        let mut ls =
-            LockstepNet::new(g, self.run_config(), r.recording, move |id: NodeId| {
-                procs[id.index()].clone()
-            })
-            .with_shards(shards);
+        let mut ls = self.build(g, &procs, r.recording, shards);
         ls.run_to_end();
         let divergence = first_divergence(&commits, ls.logs(), upto).map(|(node, i, a, b)| {
             format!("node {node}, entry {i}: stored {a:?}, replay {b:?}")
@@ -1067,10 +951,11 @@ mod tests {
         let run = scn.record_run().expect("records");
         assert!(run.n_groups >= 5);
         assert_eq!(run.outcome.as_deref(), Some("n2 reaches 3 destinations"));
-        let ls = scn.replay_logs(&run.bytes).expect("replays");
+        let ls = scn.replay_logs_sharded(&run.bytes, 1).expect("replays");
         assert!(first_divergence(&run.logs, &ls, run.upto).is_none());
-        let t1 = scn.debug_transcript(&run.bytes, "stepg 2\nwhere\n").expect("debugs");
-        let t2 = scn.debug_transcript(&run.bytes, "stepg 2\nwhere\n").expect("debugs again");
+        let debug = || scn.debug_transcript_sharded(&run.bytes, "stepg 2\nwhere\n", 1);
+        let t1 = debug().expect("debugs");
+        let t2 = debug().expect("debugs again");
         assert_eq!(t1, t2);
         assert!(t1.contains("group"), "{t1}");
     }
@@ -1096,7 +981,7 @@ mod tests {
     fn sharded_scenario_replay_matches_serial() {
         let scn = mini_ospf();
         let run = scn.record_run().expect("records");
-        let serial = scn.replay_logs(&run.bytes).expect("serial");
+        let serial = scn.replay_logs_sharded(&run.bytes, 1).expect("serial");
         for shards in [2usize, 3] {
             assert_eq!(
                 scn.replay_logs_sharded(&run.bytes, shards).expect("sharded"),
@@ -1110,10 +995,10 @@ mod tests {
     fn bad_recordings_are_rejected() {
         let scn = mini_ospf();
         assert!(matches!(
-            scn.debug_transcript(b"garbage", "step\n"),
+            scn.debug_transcript_sharded(b"garbage", "step\n", 1),
             Err(ScenarioError::BadRecording)
         ));
-        assert!(matches!(scn.replay_logs(&[1, 2, 3]), Err(ScenarioError::BadRecording)));
+        assert!(matches!(scn.replay_logs_sharded(&[1, 2, 3], 1), Err(ScenarioError::BadRecording)));
     }
 
     #[test]
@@ -1204,9 +1089,9 @@ mod tests {
         let run = mini_ospf().record_run().expect("records");
         let mut big = mini_ospf();
         big.topology = TopologySpec::Ring { n: 5, delay: SimDuration::from_millis(4) };
-        assert!(matches!(big.replay_logs(&run.bytes), Err(ScenarioError::BadRecording)));
+        assert!(matches!(big.replay_logs_sharded(&run.bytes, 1), Err(ScenarioError::BadRecording)));
         assert!(matches!(
-            big.debug_transcript(&run.bytes, "step\n"),
+            big.debug_transcript_sharded(&run.bytes, "step\n", 1),
             Err(ScenarioError::BadRecording)
         ));
     }

@@ -22,8 +22,8 @@
 //! [`LockstepNet`](defined_core::LockstepNet), so *every* scenario gets the
 //! full record → replay → interactive-debug cycle for free:
 //! [`Scenario::record_run`] produces a serialised partial recording,
-//! [`Scenario::replay_logs`] re-executes it in lockstep, and
-//! [`Scenario::debug_transcript`] drives a scripted
+//! [`Scenario::replay_logs_sharded`] re-executes it in lockstep, and
+//! [`Scenario::debug_transcript_sharded`] drives a scripted
 //! [`DebugSession`](defined_core::session::DebugSession) over it. The
 //! outcome probe also compiles into a *search predicate*:
 //! [`Scenario::explore_run`] sweeps salted orderings on the parallel replay

@@ -174,14 +174,6 @@ impl TopologySpec {
             _ => None,
         }
     }
-
-    /// The Fig. 5 role assignment, when this is the Fig. 5 topology.
-    pub fn fig5_roles(&self) -> Option<canonical::Fig5Roles> {
-        match *self {
-            TopologySpec::Fig5Rip { delay } => Some(canonical::fig5_rip(delay).1),
-            _ => None,
-        }
-    }
 }
 
 /// Which control plane every node runs.

@@ -220,16 +220,15 @@ impl<X: Wire, Io: StoreIo> StoreStreamer<X, Io> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ext_to_bgp, ext_to_ospf, ext_to_rip};
-    use crate::registry::{bgp_fig4_processes, ospf_processes, registry, rip_processes};
-    use crate::spec::{Fault, ProtocolSpec};
+    use crate::engine::{with_protocol, ScenarioProtocol};
+    use crate::registry::registry;
+    use crate::spec::Fault;
     use crate::Scenario;
     use defined_core::config::CapturePolicy;
     use defined_core::recorder::trim_log;
     use defined_store::{open_bytes, FaultMode, FaultyIo};
     use netsim::SimTime;
     use std::cell::RefCell;
-    use std::fmt::Debug;
     use std::rc::Rc;
     use std::sync::{Mutex, MutexGuard};
 
@@ -272,29 +271,14 @@ mod tests {
     /// Something to do with a scenario's production network, whatever
     /// protocol it runs.
     trait NetCheck {
-        fn run<P>(&mut self, scn: &Scenario, net: RbNetwork<P>)
-        where
-            P: ControlPlane + Clone + 'static,
-            P::Ext: Wire + Clone + PartialEq + Debug;
+        fn run<P: ScenarioProtocol>(&mut self, scn: &Scenario, net: RbNetwork<P>);
     }
 
     fn with_production_net(scn: &Scenario, check: &mut impl NetCheck) {
         let g = scn.checked_build().expect("scenario validates");
-        match scn.protocol {
-            ProtocolSpec::Rip { mode } => {
-                let net = scn.production_net(&g, rip_processes(&g, mode), ext_to_rip);
-                check.run(scn, net.expect("builds"));
-            }
-            ProtocolSpec::Ospf => {
-                let net = scn.production_net(&g, ospf_processes(&g), ext_to_ospf);
-                check.run(scn, net.expect("builds"));
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = scn.topology.fig4_roles().expect("validated");
-                let net = scn.production_net(&g, bgp_fig4_processes(&roles, mode), ext_to_bgp);
-                check.run(scn, net.expect("builds"));
-            }
-        }
+        with_protocol!(scn, &g, |procs| {
+            check.run(scn, scn.production_net(&g, procs).expect("builds"))
+        })
     }
 
     /// What `record_typed` hands `finish`: the canonical recording, the
@@ -331,11 +315,7 @@ mod tests {
     }
 
     impl NetCheck for OracleCheck {
-        fn run<P>(&mut self, scn: &Scenario, mut net: RbNetwork<P>)
-        where
-            P: ControlPlane + Clone + 'static,
-            P::Ext: Wire + Clone + PartialEq + Debug,
-        {
+        fn run<P: ScenarioProtocol>(&mut self, scn: &Scenario, mut net: RbNetwork<P>) {
             let what = format!("{} seed {}", scn.name, scn.seed);
             let meta = scn.store_meta(&net);
             let (cursor_io, rescan_io) = (SharedIo::default(), SharedIo::default());
@@ -442,11 +422,7 @@ mod tests {
     }
 
     impl NetCheck for FaultCheck {
-        fn run<P>(&mut self, scn: &Scenario, mut net: RbNetwork<P>)
-        where
-            P: ControlPlane + Clone + 'static,
-            P::Ext: Wire + Clone + PartialEq + Debug,
-        {
+        fn run<P: ScenarioProtocol>(&mut self, scn: &Scenario, mut net: RbNetwork<P>) {
             let meta = scn.store_meta(&net);
             let Some((streamed, total)) = self.layout else {
                 let io = SharedIo::default();

@@ -14,7 +14,7 @@
 //! Run with: `cargo run --example fault_localization`
 
 use defined::core::bisect::{first_bad_event, first_bad_group};
-use defined::core::{DefinedConfig, LockstepNet, RbNetwork};
+use defined::core::{DefinedConfig, FarmConfig, LockstepNet, RbNetwork};
 use defined::netsim::{NodeId, SimDuration, SimTime};
 use defined::routing::rip::{RefreshMode, RipConfig, RipExt, RipProcess};
 use defined::topology::canonical;
@@ -63,7 +63,9 @@ fn main() {
         ls.current_group() > horizon
             && ls.control_plane(r1).route(DEST).and_then(|r| r.next_hop) == Some(r2)
     };
-    let report = first_bad_group(&g, &cfg, &rec, spawner(&g, RefreshMode::DestinationOnly), bad)
+    let serial = FarmConfig::serial();
+    let buggy = spawner(&g, RefreshMode::DestinationOnly);
+    let report = first_bad_group(&g, &cfg, &rec, &buggy, bad, &serial)
         .expect("black hole must reproduce in the debugging network");
     println!(
         "bisection: first bad group = {} (R2 died in group {}), using {} replays of ≤{} groups",
@@ -74,17 +76,11 @@ fn main() {
     // depend on R2 in the first place).
     let has_route =
         move |ls: &LockstepNet<RipProcess>| ls.control_plane(r1).route(DEST).is_some();
-    let install = first_bad_group(&g, &cfg, &rec, spawner(&g, RefreshMode::DestinationOnly), has_route)
+    let install = first_bad_group(&g, &cfg, &rec, &buggy, has_route, &serial)
         .expect("route is installed at some group");
-    let (ev, ls) = first_bad_event(
-        &g,
-        &cfg,
-        &rec,
-        spawner(&g, RefreshMode::DestinationOnly),
-        install.first_bad_group,
-        has_route,
-    )
-    .expect("exact install event");
+    let (ev, ls) =
+        first_bad_event(&g, &cfg, &rec, &buggy, install.first_bad_group, has_route, &serial)
+            .expect("exact install event");
     println!(
         "install event: group {} chain {} at {:?} (class {:?}) — R1 learned the route here",
         ev.group, ev.chain, ev.node, ev.record.ann.class,
@@ -96,13 +92,8 @@ fn main() {
     );
 
     // Step 3: validate the patch by bisecting the fixed protocol.
-    let fixed = first_bad_group(
-        &g,
-        &cfg,
-        &rec,
-        spawner(&g, RefreshMode::DestinationAndNextHop),
-        bad,
-    );
+    let patched = spawner(&g, RefreshMode::DestinationAndNextHop);
+    let fixed = first_bad_group(&g, &cfg, &rec, patched, bad, &serial);
     match fixed {
         None => println!("patched protocol (match destination AND next hop): no bad group ✓"),
         Some(r) => println!("patch FAILED: still bad at group {}", r.first_bad_group),

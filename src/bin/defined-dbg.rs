@@ -1,16 +1,8 @@
 //! `defined-dbg` — record a production scenario and debug its recording
-//! interactively, the paper's full workflow as a command-line tool.
-//!
-//! ```text
-//! defined-dbg record  <scenario> [recording-file] [--out <run.drec>] [--seed <u64>] [--shards <n>]
-//! defined-dbg debug   <scenario> <recording-file> [script-file] [--shards <n>]
-//! defined-dbg replay  <scenario> <recording-file> [--shards <n>]
-//! defined-dbg explore <scenario> [recording-file] [--salts <n>] [--jobs <n>] [--shards <n>]
-//! defined-dbg bisect  <scenario> [recording-file] [--jobs <n>] [--shards <n>]
-//! defined-dbg verify  <run.drec> [--scenario <name>] [--shards <n>]
-//! defined-dbg check-profile <profile.json>
-//! defined-dbg scenarios
-//! ```
+//! interactively, the paper's full workflow as a command-line tool. Run it
+//! without arguments for the synopsis of every verb and the flags it owns
+//! (generated from the [`VERBS`] table): `record`, `debug`, `replay`,
+//! `explore`, `bisect`, `verify`, `check-profile`, `scenarios`.
 //!
 //! `record`, `debug`, `replay`, `explore`, and `bisect` additionally accept
 //! `--ckpt-interval <n>|auto`, overriding the scenario's checkpoint-capture
@@ -78,7 +70,7 @@
 //! used.
 //!
 //! `--shards` splits each individual replay across worker shards
-//! (`ShardedNet`): every lockstep wave is block-partitioned over the nodes
+//! (`ShardedWaves`): every lockstep wave is block-partitioned over the nodes
 //! and the shards' outputs are re-merged in deterministic `OrderKey` order,
 //! so commit logs, transcripts, and search reports are byte-identical for
 //! every shard count. `--shards 0` means one shard per available core;
@@ -87,26 +79,205 @@
 //! the logs against the production commits before reporting success.
 
 use defined::core::config::CapturePolicy;
+use defined::core::FarmConfig;
 use defined::scenario::{self, Scenario};
 use std::io::Read as _;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
+/// Everything the flags can set. A verb sees only what the flags it owns
+/// ([`Verb::flags`]) put here; the rest stays at its default.
+#[derive(Default)]
+struct Opts {
+    seed: Option<u64>,
+    out: Option<String>,
+    capture: Option<CapturePolicy>,
+    salts: Option<u64>,
+    jobs: Option<u64>,
+    scenario: Option<String>,
+    shards: Option<u64>,
+    obs: ObsOpts,
+}
+
+impl Opts {
+    /// Resolves a scenario argument and applies the `--seed` and
+    /// `--ckpt-interval` overrides.
+    fn scenario(&self, arg: &str) -> Result<Scenario, String> {
+        let mut scn = resolve(arg)?;
+        if let Some(c) = self.capture {
+            scn = scn.with_capture(c);
+        }
+        if let Some(s) = self.seed {
+            scn = scn.with_seed(s);
+        }
+        Ok(scn)
+    }
+
+    /// Omitted `--shards` keeps each replay serial; `--shards 0` means auto.
+    fn shards(&self) -> usize {
+        defined::core::resolve_workers(self.shards.unwrap_or(1) as usize)
+    }
+
+    /// Omitted `--jobs` means auto (`with_jobs(0)` resolves to the core
+    /// count).
+    fn farm(&self) -> FarmConfig {
+        FarmConfig::with_jobs(self.jobs.unwrap_or(0) as usize).with_shards(self.shards())
+    }
+}
+
+/// Where a flag's value lands in [`Opts`], by the type it parses to.
+enum Slot<'a> {
+    U64(&'a mut Option<u64>),
+    Text(&'a mut Option<String>),
+    Capture(&'a mut Option<CapturePolicy>),
+    Switch(&'a mut bool),
+}
+
+/// One command-line flag: `--name`, the placeholder of its value in the
+/// usage text (empty for a bare switch), and its slot.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    slot: fn(&mut Opts) -> Slot<'_>,
+}
+
+const SEED: Flag = Flag { name: "seed", value: "<u64>", slot: |o| Slot::U64(&mut o.seed) };
+const OUT: Flag = Flag { name: "out", value: "<run.drec>", slot: |o| Slot::Text(&mut o.out) };
+const CKPT: Flag =
+    Flag { name: "ckpt-interval", value: "<n>|auto", slot: |o| Slot::Capture(&mut o.capture) };
+const SALTS: Flag = Flag { name: "salts", value: "<n>", slot: |o| Slot::U64(&mut o.salts) };
+const JOBS: Flag = Flag { name: "jobs", value: "<n>", slot: |o| Slot::U64(&mut o.jobs) };
+const SCENARIO: Flag =
+    Flag { name: "scenario", value: "<name>", slot: |o| Slot::Text(&mut o.scenario) };
+const SHARDS: Flag = Flag { name: "shards", value: "<n>", slot: |o| Slot::U64(&mut o.shards) };
+const PROFILE: Flag =
+    Flag { name: "profile", value: "", slot: |o| Slot::Switch(&mut o.obs.profile) };
+const PROFILE_JSON: Flag =
+    Flag { name: "profile-json", value: "<path>", slot: |o| Slot::Text(&mut o.obs.profile_json) };
+const TRACE_OUT: Flag =
+    Flag { name: "trace-out", value: "<path>", slot: |o| Slot::Text(&mut o.obs.trace_out) };
+
+impl Flag {
+    /// Pulls `--<name> [value]` out of the argument list, if present. A
+    /// missing or malformed value is an error message, never a panic.
+    fn take(&self, args: &mut Vec<String>, opts: &mut Opts) -> Result<(), String> {
+        let flag = format!("--{}", self.name);
+        let Some(pos) = args.iter().position(|a| *a == flag) else {
+            return Ok(());
+        };
+        args.remove(pos);
+        let mut value = || {
+            if pos < args.len() {
+                Ok(args.remove(pos))
+            } else {
+                Err(format!("{flag} needs a value"))
+            }
+        };
+        match (self.slot)(opts) {
+            Slot::Switch(on) => *on = true,
+            Slot::Text(slot) => *slot = Some(value()?),
+            Slot::U64(slot) => {
+                let v = value()?;
+                *slot = Some(v.parse().map_err(|_| format!("{flag} {v}: not a u64"))?);
+            }
+            Slot::Capture(slot) => {
+                *slot = Some(value()?.parse::<CapturePolicy>().map_err(|e| e.to_string())?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why a verb produced no exit code of its own: `None` when its arguments
+/// do not fit (print the usage text), else what to report as
+/// `defined-dbg: <message>`. `?` lifts a `String` error into `Some`.
+type CliError = Option<String>;
+
+/// One subcommand: its positional synopsis (`<required>` / `[optional]`,
+/// which also fixes how many positionals it takes), the flags it owns —
+/// in the order they are pulled from the argument list — and its handler.
+/// A flag on a verb that does not own it is left among the positionals,
+/// where it breaks the arity: a usage error, not a silently ignored
+/// argument.
+struct Verb {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&[String], &Opts) -> Result<ExitCode, CliError>,
+}
+
+impl Verb {
+    fn arity(&self) -> RangeInclusive<usize> {
+        let required = self.positionals.iter().filter(|p| p.starts_with('<')).count();
+        required..=self.positionals.len()
+    }
+}
+
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "record",
+        positionals: &["<scenario>", "[recording-file]"],
+        flags: &[SEED, OUT, CKPT, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: record,
+    },
+    Verb {
+        name: "debug",
+        positionals: &["<scenario>", "<recording-file>", "[script-file]"],
+        flags: &[CKPT, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: debug,
+    },
+    Verb {
+        name: "replay",
+        positionals: &["<scenario>", "<recording-file>"],
+        flags: &[CKPT, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: replay,
+    },
+    Verb {
+        name: "explore",
+        positionals: &["<scenario>", "[recording-file]"],
+        flags: &[CKPT, SALTS, JOBS, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: explore,
+    },
+    Verb {
+        name: "bisect",
+        positionals: &["<scenario>", "[recording-file]"],
+        flags: &[CKPT, JOBS, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: bisect,
+    },
+    Verb {
+        name: "verify",
+        positionals: &["<run.drec>"],
+        flags: &[SCENARIO, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        run: verify,
+    },
+    Verb {
+        name: "check-profile",
+        positionals: &["<profile.json>"],
+        flags: &[],
+        run: |args, _| Ok(check_profile(&args[0])?),
+    },
+    Verb { name: "scenarios", positionals: &[], flags: &[], run: |_, _| Ok(list_scenarios()) },
+];
+
+/// Prints the synopsis of every verb, generated from [`VERBS`].
 fn usage() -> ExitCode {
+    for (i, verb) in VERBS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        let mut line = format!("{lead} defined-dbg {}", verb.name);
+        for p in verb.positionals {
+            line += &format!(" {p}");
+        }
+        for f in verb.flags {
+            line += format!(" [--{} {}", f.name, f.value).trim_end();
+            line += "]";
+        }
+        eprintln!("{line}");
+    }
     eprintln!(
-        "usage: defined-dbg record  <scenario> [recording-file] [--out <run.drec>] [--seed <u64>] [--shards <n>]\n\
-         \x20      defined-dbg debug   <scenario> <recording-file> [script-file] [--shards <n>]\n\
-         \x20      defined-dbg replay  <scenario> <recording-file> [--shards <n>]\n\
-         \x20      defined-dbg explore <scenario> [recording-file] [--salts <n>] [--jobs <n>] [--shards <n>]\n\
-         \x20      defined-dbg bisect  <scenario> [recording-file] [--jobs <n>] [--shards <n>]\n\
-         \x20      defined-dbg verify  <run.drec> [--scenario <name>] [--shards <n>]\n\
-         \x20      defined-dbg check-profile <profile.json>\n\
-         \x20      defined-dbg scenarios\n\
-         \n\
-         <scenario> is a registry name (see `defined-dbg scenarios`) or a .scn file path\n\
+        "\n<scenario> is a registry name (see `defined-dbg scenarios`) or a .scn file path\n\
          recording files may be raw `record` output or a crash-safe .drec store (--out)\n\
-         --jobs 0 / --shards 0 mean one worker per available core\n\
-         run verbs (except verify) also accept --ckpt-interval <n>|auto\n\
-         run verbs also accept --profile, --profile-json <path>, --trace-out <path>"
+         --jobs 0 / --shards 0 mean one worker per available core"
     );
     ExitCode::FAILURE
 }
@@ -135,33 +306,10 @@ fn list_scenarios() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Renders the production run's GVT progression from the obs counters —
-/// one code path for every subcommand (`record_typed` publishes the bound
-/// into the substrate; anything that recorded surfaces it here, and a
-/// pure replay with no production half prints nothing).
-fn print_gvt_line(capture: CapturePolicy) {
-    let snap = defined::obs::global().snapshot();
-    if snap.counter("gvt.samples") == 0 {
-        return;
-    }
-    println!(
-        "gvt: bound {} -> {} over {} samples ({}), floor {}, {} rollback(s), capture {}",
-        snap.counter("gvt.bound_first"),
-        snap.counter("gvt.bound"),
-        snap.counter("gvt.samples"),
-        if snap.counter("gvt.regressions") == 0 { "monotone" } else { "NOT monotone" },
-        snap.counter("gvt.floor"),
-        snap.counter("rb.rollbacks"),
-        capture,
-    );
-}
-
-fn record(
-    scn: &Scenario,
-    path: Option<&str>,
-    out: Option<&str>,
-    shards: Option<usize>,
-) -> Result<ExitCode, String> {
+fn record(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let (path, out) = (args.get(1).map(String::as_str), opts.out.as_deref());
+    let dest = out.or(path).ok_or(None)?; // Some output is mandatory: else a usage error.
+    let scn = opts.scenario(&args[0])?;
     let run = match out {
         Some(store_path) => scn
             .record_run_to_store(std::path::Path::new(store_path))
@@ -171,16 +319,15 @@ fn record(
     if let Some(path) = path {
         std::fs::write(path, &run.bytes).map_err(|e| format!("{path}: {e}"))?;
     }
-    let dest = out.or(path).expect("record has at least one output");
     println!("{} -> {dest}", run.summary(&scn.name));
-    print_gvt_line(scn.capture);
+    println!("{}", run.gvt.render());
     if let Some(outcome) = &run.outcome {
         println!("production outcome: {outcome}");
     }
-    if let Some(shards) = shards {
+    if opts.shards.is_some() {
         // Self-check: replay the fresh recording sharded and hold it to
         // Theorem 1 against the production commit logs.
-        let shards = defined::core::resolve_workers(shards);
+        let shards = opts.shards();
         let logs = scn.replay_logs_sharded(&run.bytes, shards).map_err(|e| e.to_string())?;
         if let Some(d) = defined::core::ls::first_divergence(&run.logs, &logs, run.upto) {
             eprintln!("{}: sharded replay diverged from production: {d:?}", scn.name);
@@ -221,19 +368,15 @@ fn warn_recovered(path: &str, bytes: &[u8]) {
     }
 }
 
-fn debug(
-    scn: &Scenario,
-    rec_path: &str,
-    script: Option<&str>,
-    shards: usize,
-) -> Result<ExitCode, String> {
+fn debug(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let scn = opts.scenario(&args[0])?;
+    let rec_path = &args[1];
     let bytes = std::fs::read(rec_path).map_err(|e| format!("{rec_path}: {e}"))?;
     warn_recovered(rec_path, &bytes);
-    let script = read_script(script)?;
-    match scn.debug_transcript_sharded(&bytes, &script, shards) {
+    let script = read_script(args.get(2).map(String::as_str))?;
+    match scn.debug_transcript_sharded(&bytes, &script, opts.shards()) {
         Ok(transcript) => {
             print!("{transcript}");
-            print_gvt_line(scn.capture);
             Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
@@ -258,47 +401,48 @@ fn search_bytes(scn: &Scenario, rec_path: Option<&str>) -> Result<Vec<u8>, Strin
         None => {
             let run = scn.record_run().map_err(|e| e.to_string())?;
             println!("{}", run.summary(&scn.name));
-            print_gvt_line(scn.capture);
+            println!("{}", run.gvt.render());
             Ok(run.bytes)
         }
     }
 }
 
-fn explore(
-    scn: &Scenario,
-    rec_path: Option<&str>,
-    salts: u64,
-    farm: &defined::core::FarmConfig,
-) -> Result<ExitCode, String> {
-    let bytes = search_bytes(scn, rec_path)?;
-    let report = scn.explore_run(&bytes, salts, farm).map_err(|e| e.to_string())?;
+fn explore(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let scn = opts.scenario(&args[0])?;
+    let bytes = search_bytes(&scn, args.get(1).map(String::as_str))?;
+    let salts = opts.salts.unwrap_or(DEFAULT_SALTS);
+    let report = scn.explore_run(&bytes, salts, &opts.farm()).map_err(|e| e.to_string())?;
     print!("{}", report.render());
     Ok(ExitCode::SUCCESS)
 }
 
-fn replay(scn: &Scenario, rec_path: &str, shards: usize) -> Result<ExitCode, String> {
+fn replay(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let scn = opts.scenario(&args[0])?;
+    let rec_path = &args[1];
     let bytes = std::fs::read(rec_path).map_err(|e| format!("{rec_path}: {e}"))?;
     warn_recovered(rec_path, &bytes);
-    let logs = scn.replay_logs_sharded(&bytes, shards).map_err(|e| format!("{rec_path}: {e}"))?;
+    let logs =
+        scn.replay_logs_sharded(&bytes, opts.shards()).map_err(|e| format!("{rec_path}: {e}"))?;
     let entries: usize = logs.iter().map(Vec::len).sum();
     println!("replayed {}: {} node(s), {} committed entries", scn.name, logs.len(), entries);
     Ok(ExitCode::SUCCESS)
 }
 
-fn verify(rec_path: &str, scenario: Option<&str>, shards: usize) -> Result<ExitCode, String> {
+fn verify(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let rec_path = &args[0];
     let bytes = std::fs::read(rec_path).map_err(|e| format!("{rec_path}: {e}"))?;
     if !defined::store::is_store(&bytes) {
-        return Err(format!("{rec_path}: not a recording store (missing DREC magic)"));
+        return Err(format!("{rec_path}: not a recording store (missing DREC magic)").into());
     }
-    let name = match scenario {
-        Some(name) => name.to_string(),
+    let name = match &opts.scenario {
+        Some(name) => name.clone(),
         None => {
             let info = defined::store::scan(&bytes).map_err(|e| format!("{rec_path}: {e}"))?;
             info.scenario
         }
     };
     let scn = resolve(&name)?;
-    match scn.verify_store(&bytes, shards) {
+    match scn.verify_store(&bytes, opts.shards()) {
         Ok(report) => {
             print!("{}", report.render());
             Ok(if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
@@ -310,13 +454,10 @@ fn verify(rec_path: &str, scenario: Option<&str>, shards: usize) -> Result<ExitC
     }
 }
 
-fn bisect(
-    scn: &Scenario,
-    rec_path: Option<&str>,
-    farm: &defined::core::FarmConfig,
-) -> Result<ExitCode, String> {
-    let bytes = search_bytes(scn, rec_path)?;
-    match scn.bisect_run(&bytes, farm).map_err(|e| e.to_string())? {
+fn bisect(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let scn = opts.scenario(&args[0])?;
+    let bytes = search_bytes(&scn, args.get(1).map(String::as_str))?;
+    match scn.bisect_run(&bytes, &opts.farm()).map_err(|e| e.to_string())? {
         Some(summary) => {
             print!("{}", summary.render());
             Ok(ExitCode::SUCCESS)
@@ -325,47 +466,6 @@ fn bisect(
             eprintln!("{}: the recording has no groups to bisect", scn.name);
             Ok(ExitCode::FAILURE)
         }
-    }
-}
-
-/// Pulls a `--<name> <u64>` pair out of the argument list.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
-    let flag = format!("--{name}");
-    let Some(pos) = args.iter().position(|a| *a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    let parsed = value.parse().map_err(|_| format!("{flag} {value}: not a u64"))?;
-    Ok(Some(parsed))
-}
-
-/// Pulls a `--<name> <path>` pair out of the argument list.
-fn take_path_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let flag = format!("--{name}");
-    let Some(pos) = args.iter().position(|a| *a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-/// Pulls a bare `--<name>` switch out of the argument list.
-fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
-    let flag = format!("--{name}");
-    match args.iter().position(|a| *a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
     }
 }
 
@@ -436,119 +536,30 @@ fn check_profile(path: &str) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Flags belong to specific verbs; anywhere else they must be a usage
-    // error, not a silently ignored argument.
-    let verb = args.first().cloned().unwrap_or_default();
-    let run_verb =
-        matches!(verb.as_str(), "record" | "debug" | "replay" | "explore" | "bisect" | "verify");
-    type Flags = (
-        Option<u64>,
-        Option<u64>,
-        Option<u64>,
-        Option<u64>,
-        Option<String>,
-        Option<String>,
-        Option<CapturePolicy>,
-        ObsOpts,
-    );
-    let flags: Result<Flags, String> = (|| {
-        let seed = if verb == "record" { take_flag(&mut args, "seed")? } else { None };
-        let out = if verb == "record" { take_path_flag(&mut args, "out")? } else { None };
-        // `--ckpt-interval N|auto` belongs to the verbs that build a
-        // network from the scenario; a malformed value is a typed parse
-        // error surfaced as a usage failure, never a panic.
-        let capture = if run_verb && verb != "verify" {
-            match take_path_flag(&mut args, "ckpt-interval")? {
-                Some(v) => Some(v.parse::<CapturePolicy>().map_err(|e| e.to_string())?),
-                None => None,
-            }
-        } else {
-            None
-        };
-        let salts = if verb == "explore" { take_flag(&mut args, "salts")? } else { None };
-        let jobs = if verb == "explore" || verb == "bisect" {
-            take_flag(&mut args, "jobs")?
-        } else {
-            None
-        };
-        let scenario =
-            if verb == "verify" { take_path_flag(&mut args, "scenario")? } else { None };
-        let shards = if run_verb { take_flag(&mut args, "shards")? } else { None };
-        let obs = if run_verb {
-            ObsOpts {
-                profile: take_switch(&mut args, "profile"),
-                profile_json: take_path_flag(&mut args, "profile-json")?,
-                trace_out: take_path_flag(&mut args, "trace-out")?,
-            }
-        } else {
-            ObsOpts::default()
-        };
-        Ok((seed, salts, jobs, shards, out, scenario, capture, obs))
-    })();
-    let (seed, salts, jobs, shards, out, scenario_flag, capture, obs_opts) = match flags {
-        Ok(f) => f,
-        Err(e) => {
+    let Some(verb) = args.first().and_then(|name| VERBS.iter().find(|v| v.name == name)) else {
+        return usage();
+    };
+    args.remove(0);
+    let mut opts = Opts::default();
+    for flag in verb.flags {
+        if let Err(e) = flag.take(&mut args, &mut opts) {
             eprintln!("defined-dbg: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    // Applies the `--ckpt-interval` override to a resolved scenario.
-    let tuned = move |scn: Scenario| match capture {
-        Some(c) => scn.with_capture(c),
-        None => scn,
-    };
-    if obs_opts.trace_out.is_some() {
+    }
+    if !verb.arity().contains(&args.len()) {
+        return usage();
+    }
+    if opts.obs.trace_out.is_some() {
         defined::obs::set_tracing(true);
     }
-    // Omitted `--jobs` means auto (`with_jobs(0)` resolves to the core
-    // count); omitted `--shards` keeps each replay serial, `--shards 0`
-    // means auto.
-    let farm = defined::core::FarmConfig::with_jobs(jobs.unwrap_or(0) as usize)
-        .with_shards(shards.unwrap_or(1) as usize);
-    let result = match args.as_slice() {
-        [cmd] if cmd == "scenarios" => return list_scenarios(),
-        [cmd, scenario_arg, rest @ ..]
-            if cmd == "record" && rest.len() <= 1 && (out.is_some() || rest.len() == 1) =>
-        {
-            resolve(scenario_arg).map(tuned).and_then(|mut scn| {
-                if let Some(s) = seed {
-                    scn = scn.with_seed(s);
-                }
-                record(
-                    &scn,
-                    rest.first().map(|s| s.as_str()),
-                    out.as_deref(),
-                    shards.map(|s| s as usize),
-                )
-            })
-        }
-        [cmd, scenario_arg, path, rest @ ..] if cmd == "debug" && rest.len() <= 1 => {
-            let script = rest.first().map(|s| s.as_str());
-            resolve(scenario_arg).map(tuned).and_then(|scn| debug(&scn, path, script, farm.shards))
-        }
-        [cmd, scenario_arg, path] if cmd == "replay" => {
-            resolve(scenario_arg).map(tuned).and_then(|scn| replay(&scn, path, farm.shards))
-        }
-        [cmd, scenario_arg, rest @ ..] if cmd == "explore" && rest.len() <= 1 => {
-            resolve(scenario_arg).map(tuned).and_then(|scn| {
-                explore(&scn, rest.first().map(|s| s.as_str()), salts.unwrap_or(DEFAULT_SALTS), &farm)
-            })
-        }
-        [cmd, scenario_arg, rest @ ..] if cmd == "bisect" && rest.len() <= 1 => {
-            resolve(scenario_arg)
-                .map(tuned)
-                .and_then(|scn| bisect(&scn, rest.first().map(|s| s.as_str()), &farm))
-        }
-        [cmd, path] if cmd == "verify" => verify(path, scenario_flag.as_deref(), farm.shards),
-        [cmd, path] if cmd == "check-profile" => check_profile(path),
-        _ => return usage(),
-    };
     // The observability artifacts are written after the verb, win or lose —
     // a failing run's profile is exactly the one worth reading.
-    let result = result.and_then(|code| emit_obs(&obs_opts).map(|()| code));
+    let result = (verb.run)(&args, &opts).and_then(|code| Ok(emit_obs(&opts.obs).map(|()| code)?));
     match result {
         Ok(code) => code,
-        Err(e) => {
+        Err(None) => usage(),
+        Err(Some(e)) => {
             eprintln!("defined-dbg: {e}");
             ExitCode::FAILURE
         }

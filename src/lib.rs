@@ -15,7 +15,7 @@
 //!   paper's case-study bugs behind toggles);
 //! * [`checkpoint`] — snapshot strategies with page-level accounting;
 //! * [`core`] — the DEFINED-RB and DEFINED-LS engines, the recorder, the
-//!   debugger, and the threaded lockstep runtime;
+//!   debugger, and the replay farm;
 //! * [`store`] — the append-only, crash-safe on-disk recording store with
 //!   torn-tail recovery and fault-injectable I/O (DESIGN.md §12);
 //! * [`scenario`] — the declarative scenario & fault-injection engine and

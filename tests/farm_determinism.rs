@@ -8,8 +8,8 @@
 //! identical `BisectReport`, across jobs ∈ {1, 2, 8}. The salt set itself
 //! is property-swept so the equivalence is not an artifact of one sweep.
 
-use defined::core::bisect::{first_bad_event_farm, first_bad_group_farm, BisectReport};
-use defined::core::explore::{explore_orderings_farm, ordering_sensitivity_farm};
+use defined::core::bisect::{first_bad_event, first_bad_group, BisectReport};
+use defined::core::explore::{explore_orderings, ordering_survey};
 use defined::core::ls::LockstepNet;
 use defined::core::order::debug_digest;
 use defined::core::{DefinedConfig, FarmConfig};
@@ -51,41 +51,33 @@ fn check_invariance<P, S, F, B>(
     B: Fn(&LockstepNet<P>) -> bool + Sync + Copy,
 {
     let cfg = DefinedConfig::default();
-    let reference: Option<(u64, u64)> = explore_orderings_farm(
-        g,
-        &cfg,
-        rec,
-        spawn,
-        salts.iter().copied(),
-        predicate,
-        &FarmConfig::serial(),
-    )
-    .map(|(salt, ls)| (salt, debug_digest(&ls.logs())));
-    let ref_sense =
-        ordering_sensitivity_farm(g, &cfg, rec, spawn, salts.iter().copied(), predicate, &FarmConfig::serial());
-    let ref_bisect: Option<BisectReport> =
-        first_bad_group_farm(g, &cfg, rec, spawn, bad, &FarmConfig::serial());
+    let serial = FarmConfig::serial();
+    let explore = |farm: &FarmConfig| {
+        explore_orderings(g, &cfg, rec, spawn, salts.iter().copied(), predicate, farm)
+            .map(|(salt, ls)| (salt, debug_digest(&ls.logs())))
+    };
+    // How many of the salts satisfy the predicate, out of how many.
+    let sensitivity = |farm: &FarmConfig| {
+        let hits = ordering_survey(g, &cfg, rec, spawn, salts.iter().copied(), predicate, farm);
+        (hits.iter().filter(|h| *h.as_ref().expect("no probe panics")).count(), hits.len())
+    };
+    let reference: Option<(u64, u64)> = explore(&serial);
+    let ref_sense = sensitivity(&serial);
+    let ref_bisect: Option<BisectReport> = first_bad_group(g, &cfg, rec, spawn, bad, &serial);
     let ref_event = ref_bisect.and_then(|r| {
-        first_bad_event_farm(g, &cfg, rec, spawn, r.first_bad_group, bad, &FarmConfig::serial())
-            .map(|(ev, _)| ev)
+        first_bad_event(g, &cfg, rec, spawn, r.first_bad_group, bad, &serial).map(|(ev, _)| ev)
     });
     for jobs in JOBS {
         let farm = FarmConfig { jobs, speculation: 1, ..FarmConfig::serial() };
-        let got = explore_orderings_farm(g, &cfg, rec, spawn, salts.iter().copied(), predicate, &farm)
-            .map(|(salt, ls)| (salt, debug_digest(&ls.logs())));
-        assert_eq!(got, reference, "{what}: explore result varies at jobs={jobs}");
+        assert_eq!(explore(&farm), reference, "{what}: explore result varies at jobs={jobs}");
+        assert_eq!(sensitivity(&farm), ref_sense, "{what}: sensitivity varies at jobs={jobs}");
         assert_eq!(
-            ordering_sensitivity_farm(g, &cfg, rec, spawn, salts.iter().copied(), predicate, &farm),
-            ref_sense,
-            "{what}: sensitivity varies at jobs={jobs}"
-        );
-        assert_eq!(
-            first_bad_group_farm(g, &cfg, rec, spawn, bad, &farm),
+            first_bad_group(g, &cfg, rec, spawn, bad, &farm),
             ref_bisect,
             "{what}: bisect report varies at jobs={jobs}"
         );
         if let Some(r) = ref_bisect {
-            let ev = first_bad_event_farm(g, &cfg, rec, spawn, r.first_bad_group, bad, &farm)
+            let ev = first_bad_event(g, &cfg, rec, spawn, r.first_bad_group, bad, &farm)
                 .map(|(ev, _)| ev);
             assert_eq!(ev, ref_event, "{what}: culprit event varies at jobs={jobs}");
         }
@@ -93,7 +85,7 @@ fn check_invariance<P, S, F, B>(
         // counts legitimately differ from the serial schedule).
         let wide = FarmConfig { jobs, speculation: 3, ..FarmConfig::serial() };
         assert_eq!(
-            first_bad_group_farm(g, &cfg, rec, spawn, bad, &wide).map(|r| r.first_bad_group),
+            first_bad_group(g, &cfg, rec, spawn, bad, &wide).map(|r| r.first_bad_group),
             ref_bisect.map(|r| r.first_bad_group),
             "{what}: speculative bisection diverged at jobs={jobs}"
         );

@@ -20,7 +20,7 @@ use defined::topology::canonical;
 fn transcript_of(name: &str, script: &str) -> String {
     let scn = scenario::find(name).expect("registry scenario");
     let run = scn.record_run().expect("records");
-    scn.debug_transcript(&run.bytes, script).expect("debugs")
+    scn.debug_transcript_sharded(&run.bytes, script, 1).expect("debugs")
 }
 
 #[test]
@@ -117,13 +117,13 @@ fn reverse_continue_agrees_with_forward_watch() {
     let run = scn.record_run().expect("records");
     // Forward: run until node 1's state first changes; note the position.
     let fwd = scn
-        .debug_transcript(&run.bytes, "watch 1\nrun\nwhere\n")
+        .debug_transcript_sharded(&run.bytes, "watch 1\nrun\nwhere\n", 1)
         .expect("debugs");
     assert!(fwd.contains("* watch n1 state"), "{fwd}");
     // Backward from the end: the last change is found without replaying
     // from zero, and stepping past it forward again is byte-stable.
     let back = scn
-        .debug_transcript(&run.bytes, "run\nwatch 1\nrcont\nwhere\n")
+        .debug_transcript_sharded(&run.bytes, "run\nwatch 1\nrcont\nwhere\n", 1)
         .expect("debugs");
     assert!(back.contains("* stopped after"), "{back}");
 }

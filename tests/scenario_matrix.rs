@@ -26,16 +26,16 @@ fn every_scenario_records_and_replays() {
 
         if !scn.has_restart() {
             let ls_logs = scn
-                .replay_logs(&run.bytes)
+                .replay_logs_sharded(&run.bytes, 1)
                 .unwrap_or_else(|e| panic!("{}: replay failed: {e}", scn.name));
             let div = first_divergence(&run.logs, &ls_logs, run.upto);
             assert!(div.is_none(), "{}: production/replay divergence: {div:?}", scn.name);
         }
 
         let t1 = scn
-            .debug_transcript(&run.bytes, SCRIPT)
+            .debug_transcript_sharded(&run.bytes, SCRIPT, 1)
             .unwrap_or_else(|e| panic!("{}: debug failed: {e}", scn.name));
-        let t2 = scn.debug_transcript(&run.bytes, SCRIPT).expect("second debug run");
+        let t2 = scn.debug_transcript_sharded(&run.bytes, SCRIPT, 1).expect("second debug run");
         assert_eq!(t1, t2, "{}: repeated debug transcripts diverged", scn.name);
         assert!(!t1.is_empty(), "{}: empty transcript", scn.name);
     }
@@ -62,9 +62,10 @@ fn every_scenario_survives_a_store_round_trip() {
         assert_eq!(info.scenario, scn.name);
 
         let t_store = scn
-            .debug_transcript(&bytes, SCRIPT)
+            .debug_transcript_sharded(&bytes, SCRIPT, 1)
             .unwrap_or_else(|e| panic!("{}: debug from store failed: {e}", scn.name));
-        let t_raw = scn.debug_transcript(&run.bytes, SCRIPT).expect("debug from raw bytes");
+        let t_raw =
+            scn.debug_transcript_sharded(&run.bytes, SCRIPT, 1).expect("debug from raw bytes");
         assert_eq!(t_store, t_raw, "{}: store and raw transcripts diverged", scn.name);
 
         if !scn.has_restart() {

@@ -1,7 +1,7 @@
 //! Shard determinism: splitting a single replay across worker shards is
 //! invisible in every observable output.
 //!
-//! `ShardedNet` block-partitions each lockstep wave over the nodes and
+//! `ShardedWaves` block-partitions each lockstep wave over the nodes and
 //! re-merges the shards' emissions in deterministic `(OrderKey, to)` order,
 //! so the shard count — like the farm's job count — is a pure *cost* knob.
 //! These tests hold that contract end to end through the scenario engine:
@@ -32,7 +32,7 @@ fn commit_logs_are_shard_count_invariant() {
     for name in SCENARIOS {
         let scn = scenario::find(name).expect("registry scenario");
         let run = scn.record_run().expect("records");
-        let serial = scn.replay_logs(&run.bytes).expect("serial replay");
+        let serial = scn.replay_logs_sharded(&run.bytes, 1).expect("serial replay");
         for shards in [2usize, 4] {
             let sharded =
                 scn.replay_logs_sharded(&run.bytes, shards).expect("sharded replay");
@@ -95,9 +95,9 @@ fn adaptive_capture_is_shard_count_invariant() {
     let run = auto.record_run().expect("records under adaptive capture");
     let run_fixed = fixed.record_run().expect("records under fixed capture");
     assert_eq!(run.bytes, run_fixed.bytes, "capture policy leaked into the recording");
-    let serial = fixed.replay_logs(&run_fixed.bytes).expect("serial replay");
+    let serial = fixed.replay_logs_sharded(&run_fixed.bytes, 1).expect("serial replay");
     assert_eq!(
-        auto.replay_logs(&run.bytes).expect("adaptive replay"),
+        auto.replay_logs_sharded(&run.bytes, 1).expect("adaptive replay"),
         serial,
         "capture policy changed the committed logs"
     );
@@ -113,7 +113,7 @@ fn adaptive_capture_is_shard_count_invariant() {
 fn auto_shard_count_reproduces_serial_logs() {
     let scn = scenario::find("ospf-loss-window").expect("registry scenario");
     let run = scn.record_run().expect("records");
-    let serial = scn.replay_logs(&run.bytes).expect("serial replay");
+    let serial = scn.replay_logs_sharded(&run.bytes, 1).expect("serial replay");
     let auto = scn.replay_logs_sharded(&run.bytes, 0).expect("auto-sharded replay");
     assert_eq!(auto, serial, "auto shard count diverges from serial");
 }

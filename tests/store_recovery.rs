@@ -122,9 +122,9 @@ fn streamed_store_round_trips_and_verifies() {
     assert!(report.ok(), "fresh store verifies: {}", report.render());
     assert_eq!(report.checked_nodes, 4);
     // The same bytes drive the debug stack directly (format sniffing).
-    let t_store = scn.debug_transcript(&bytes, "stepg 2\nwhere\n").expect("debug from store");
-    let t_raw =
-        scn.debug_transcript(&rec.to_bytes(), "stepg 2\nwhere\n").expect("debug from raw");
+    let debug = |bytes: &[u8]| scn.debug_transcript_sharded(bytes, "stepg 2\nwhere\n", 1);
+    let t_store = debug(&bytes).expect("debug from store");
+    let t_raw = debug(&rec.to_bytes()).expect("debug from raw");
     assert_eq!(t_store, t_raw);
 }
 
@@ -167,12 +167,13 @@ fn every_offset_truncation_recovers_or_errors() {
     // Replay byte-identity, once per distinct recovered prefix.
     for &(g, cut) in &recovered {
         let mem_bytes = prefix_of(&rec, g).to_bytes();
-        let logs_store = scn.replay_logs(&bytes[..cut]).expect("recovered prefix replays");
-        let logs_mem = scn.replay_logs(&mem_bytes).expect("in-memory prefix replays");
+        let logs_store =
+            scn.replay_logs_sharded(&bytes[..cut], 1).expect("recovered prefix replays");
+        let logs_mem = scn.replay_logs_sharded(&mem_bytes, 1).expect("in-memory prefix replays");
         assert_eq!(logs_store, logs_mem, "commit logs diverge for prefix at group {g}");
         let script = "stepg 1\nwhere\nrun\nwhere\n";
-        let t_store = scn.debug_transcript(&bytes[..cut], script).expect("store debug");
-        let t_mem = scn.debug_transcript(&mem_bytes, script).expect("memory debug");
+        let t_store = scn.debug_transcript_sharded(&bytes[..cut], script, 1).expect("store debug");
+        let t_mem = scn.debug_transcript_sharded(&mem_bytes, script, 1).expect("memory debug");
         assert_eq!(t_store, t_mem, "debug transcripts diverge for prefix at group {g}");
     }
 }
