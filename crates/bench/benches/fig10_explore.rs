@@ -5,7 +5,7 @@
 //!
 //! 1. **Parallel sweeps scale.** An ordering sweep is a set of independent
 //!    deterministic replays; with `jobs >= 2` the farm must beat the serial
-//!    sweep wall-clock while returning the identical earliest-salt answer
+//!    sweep wall-clock while returning the identical survey
 //!    (determinism is asserted by `tests/farm_determinism.rs`; this bench
 //!    records the speed side).
 //! 2. **Checkpoint-seeded probes are sublinear.** A bisection probe seeded
@@ -16,7 +16,7 @@
 //! Benchmarks:
 //!
 //! * `fig10_explore/sweep/serial|jobs2|jobs4` — a full 8-salt ordering
-//!   sweep (predicate never matches, so every salt replays).
+//!   survey (every salt replays).
 //! * `fig10_explore/bisect/from_zero` — binary search with fresh
 //!   from-event-zero replays per probe (the pre-farm engine).
 //! * `fig10_explore/bisect/seeded` — the same search over one
@@ -26,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use defined_core::bisect::first_bad_group;
-use defined_core::explore::explore_orderings;
+use defined_core::explore::ordering_survey;
 use defined_core::{DefinedConfig, FarmConfig, LockstepNet, RbNetwork};
 use netsim::{NodeId, SimDuration, SimTime};
 use routing::ospf::{OspfConfig, OspfProcess};
@@ -53,17 +53,16 @@ fn bench_sweep(c: &mut Criterion) {
     let (g, rec, procs) = recorded(6);
     let cfg = DefinedConfig::default();
     let spawn = |id: NodeId| procs[id.index()].clone();
-    // Never matches: the sweep replays all 8 salts, so the measurement is
-    // pure probe throughput (a found-early sweep would cut off the work
-    // identically at every job count).
-    let never = |_: &LockstepNet<OspfProcess>| false;
+    // A survey replays all 8 salts whatever they lead to, so the
+    // measurement is pure probe throughput.
+    let events = |ls: &LockstepNet<OspfProcess>| ls.logs().iter().map(Vec::len).sum::<usize>();
     for jobs in [1usize, 2, 4] {
         let label = if jobs == 1 { "serial".to_string() } else { format!("jobs{jobs}") };
         let farm = FarmConfig::with_jobs(jobs);
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                let hit = explore_orderings(&g, &cfg, &rec, spawn, 0..8u64, never, &farm);
-                assert!(hit.is_none());
+                let swept = ordering_survey(&g, &cfg, &rec, spawn, 0..8u64, events, &farm);
+                assert!(swept.iter().all(|r| r.as_ref().is_ok_and(|&n| n > 0)));
             });
         });
     }

@@ -183,8 +183,8 @@ mod tests {
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.0);
             }
-            fn decode(bytes: &[u8]) -> Option<Self> {
-                Some(Blob(bytes.to_vec()))
+            fn decode_from(r: &mut crate::enc::Reader<'_>) -> Option<Self> {
+                Some(Blob(r.bytes(r.remaining())?.to_vec()))
             }
         }
 

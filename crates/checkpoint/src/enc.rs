@@ -4,27 +4,37 @@
 //! states by decoding, so encodings must be deterministic, layout-stable,
 //! and round-trippable. Rather than pull in serde plus a format crate, these
 //! helpers provide the primitives the protocols need.
-
-pub use checkpoint::fnv1a;
+//!
+//! The `put_*` writers run once per field on every capture and jump probe,
+//! mostly from state codecs in other crates: they are `#[inline]` (a plain
+//! function is not inlined across a crate boundary), and they append with
+//! `extend(array)`, which keeps the vector's length in a local, because
+//! after inlining the compiler can no longer tell that a byte written into
+//! the buffer leaves the vector's own header alone (`extend_from_slice`
+//! re-read it after every field: state encoding ran 2.3x slower).
 
 /// Appends a `u8`.
+#[inline]
 pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
 /// Appends a `u16` little-endian.
+#[inline]
 pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+    buf.extend(v.to_le_bytes());
 }
 
 /// Appends a `u32` little-endian.
+#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+    buf.extend(v.to_le_bytes());
 }
 
 /// Appends a `u64` little-endian.
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+    buf.extend(v.to_le_bytes());
 }
 
 /// A cursor for decoding what the `put_*` helpers wrote.
@@ -104,11 +114,6 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_distinguishes() {
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-    }
 
     #[test]
     fn round_trip_all_primitives() {

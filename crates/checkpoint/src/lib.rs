@@ -30,12 +30,14 @@
 #![warn(rust_2018_idioms)]
 
 mod cost;
+pub mod enc;
 mod pages;
 mod pool;
 mod store;
 mod timeline;
 
 pub use cost::{CostModel, ForkTiming};
+use enc::Reader;
 pub use pages::{BuildCost, PageImage, PAGE_SIZE};
 pub use pool::{PagePool, PoolStats};
 pub use store::{CheckpointId, Checkpointer, MemStats, Strategy};
@@ -94,10 +96,19 @@ pub trait Snapshotable: Clone {
     /// Appends a stable, self-delimiting byte encoding of the full state.
     fn encode(&self, buf: &mut Vec<u8>);
 
+    /// Reads one state back from where `r` stands, consuming exactly the
+    /// bytes [`Snapshotable::encode`] wrote — so a composite state decodes
+    /// its parts one after another from a single reader.
+    ///
+    /// Returns `None` on malformed input.
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self>;
+
     /// Reconstructs a state from [`Snapshotable::encode`] output.
     ///
     /// Returns `None` on malformed input.
-    fn decode(bytes: &[u8]) -> Option<Self>;
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Self::decode_from(&mut Reader::new(bytes))
+    }
 
     /// Appends the bytes that *determine* the full encoding: for any two
     /// states of one type, equal primary bytes if and only if equal
@@ -147,12 +158,12 @@ mod tests {
     struct Blob(Vec<u8>);
     impl Snapshotable for Blob {
         fn encode(&self, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(&(self.0.len() as u64).to_le_bytes());
+            enc::put_u64(buf, self.0.len() as u64);
             buf.extend_from_slice(&self.0);
         }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            let len = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
-            Some(Blob(bytes.get(8..8 + len)?.to_vec()))
+        fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+            let len = r.len()?;
+            Some(Blob(r.bytes(len)?.to_vec()))
         }
     }
 

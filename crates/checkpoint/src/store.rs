@@ -322,10 +322,11 @@ impl<S: Snapshotable> Checkpointer<S> {
         self.pool.stats()
     }
 
-    /// O(1) statistics. `physical_bytes` counts `Fork` full images plus the
-    /// page pool's distinct live pages (including, transiently, images
-    /// parked between a rollback truncation and the next capture).
-    pub fn stats_fast(&self) -> MemStats {
+    /// Memory statistics, O(1): every figure is maintained incrementally.
+    /// `physical_bytes` counts `Fork` full images plus the page pool's
+    /// distinct live pages (including, transiently, images parked between a
+    /// rollback truncation and the next capture).
+    pub fn stats(&self) -> MemStats {
         let pool = self.pool.stats();
         MemStats {
             retained: self.entries.len(),
@@ -342,13 +343,6 @@ impl<S: Snapshotable> Checkpointer<S> {
             bytes_deduped: pool.bytes_deduped,
             parked_bytes: self.graveyard.iter().map(|img| img.len()).sum(),
         }
-    }
-
-    /// Full memory statistics. Physical bytes are maintained incrementally
-    /// by the pool, so this is O(1) and identical to
-    /// [`Checkpointer::stats_fast`] (kept for API stability).
-    pub fn stats(&self) -> MemStats {
-        self.stats_fast()
     }
 }
 
@@ -395,12 +389,11 @@ mod tests {
                 buf.extend_from_slice(&c.to_le_bytes());
             }
         }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            let n = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
+        fn decode_from(r: &mut crate::enc::Reader<'_>) -> Option<Self> {
+            let n = r.len()?;
             let mut cells = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = 8 + i * 8;
-                cells.push(u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?));
+            for _ in 0..n {
+                cells.push(r.u64()?);
             }
             Some(Table { cells })
         }

@@ -141,8 +141,8 @@ mod tests {
         fn encode(&self, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&self.0.to_le_bytes());
         }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            Some(Word(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?)))
+        fn decode_from(r: &mut crate::enc::Reader<'_>) -> Option<Self> {
+            Some(Word(r.u64()?))
         }
     }
 

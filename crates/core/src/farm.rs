@@ -8,12 +8,12 @@
 //! engine run on any number of workers without changing its answers:
 //!
 //! * **Worker pools** whose results are a pure function of the probe
-//!   *schedule*, never of thread timing. A salt sweep claims indices in
-//!   order and keeps the minimum-index hit (`sweep_min`), so the parallel
-//!   sweep returns the *earliest* matching salt, not the first to finish; a
-//!   bisection round probes a fixed set of midpoints and combines them by
-//!   position (`map_indexed`), so speculative k-way bisection converges
-//!   to the same group as the serial binary search.
+//!   *schedule*, never of thread timing. Every round — a salt survey, the
+//!   midpoints of a bisection step — is a deterministic parallel map
+//!   (`map_indexed`): results are placed by index, so the earliest matching
+//!   salt is the first hit in the result vector, not the first to finish,
+//!   and speculative k-way bisection converges to the same group as the
+//!   serial binary search.
 //! * **Checkpoint-seeded probe sessions** ([`ProbeSession`]): each worker
 //!   owns a [`LockstepNet`] plus a [`Timeline`] of group-boundary images
 //!   captured during its own forward replays. A prefix probe restores the
@@ -30,9 +30,9 @@ use crate::wire::Wire;
 use checkpoint::{RetentionPolicy, Strategy, Timeline};
 use defined_obs as obs;
 use netsim::NodeId;
-use parking_lot::Mutex;
 use routing::ControlPlane;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use topology::Graph;
 
 /// Default spacing, in groups, between the images a [`ProbeSession`]
@@ -175,6 +175,13 @@ pub(crate) fn settle<T>(results: Vec<Result<T, JobPanic>>, eval: impl Fn(usize) 
         .collect()
 }
 
+/// Locks `m`, recovering the guard when a holder panicked: every critical
+/// section of the farm is one slot store, push or pop, so the data is valid
+/// at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `eval(0..n)` across `jobs` workers and returns the results in
 /// index order — a deterministic parallel map. Workers claim indices from a
 /// shared counter; placement by index erases completion order. Each job is
@@ -208,82 +215,12 @@ where
                 obs::counter!("farm.jobs_claimed").add(1);
                 queued.lap(obs::hist!("farm.queue_wait_ns"));
                 let out = eval_supervised(|| eval(i), i);
-                slots.lock()[i] = Some(out);
+                lock(&slots)[i] = Some(out);
             });
         }
     });
-    slots.into_inner().into_iter().map(|s| s.expect("every index evaluated")).collect()
-}
-
-/// Runs `eval(0..n)` across `jobs` workers until the *smallest* index with
-/// a `Some` result is known; returns that `(index, value)`.
-///
-/// Determinism: indices are claimed in increasing order, so by the time any
-/// hit at index `i` is recorded, every index below `i` has been claimed and
-/// will finish evaluating; the minimum over recorded hits is therefore the
-/// global minimum-index hit regardless of which worker finishes first.
-/// Indices above a recorded hit are skipped — the early-exit that makes a
-/// found-quickly sweep cheap.
-pub(crate) fn sweep_min<T, F>(jobs: usize, n: usize, eval: F) -> Option<(usize, T)>
-where
-    T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-{
-    let jobs = jobs.max(1).min(n.max(1));
-    let queued = obs::Stopwatch::start();
-    if jobs == 1 {
-        return (0..n).find_map(|i| {
-            obs::counter!("farm.jobs_claimed").add(1);
-            queued.lap(obs::hist!("farm.queue_wait_ns"));
-            supervised(|| eval(i)).map(|t| (i, t))
-        });
-    }
-    let next = AtomicUsize::new(0);
-    let cutoff = AtomicUsize::new(usize::MAX);
-    let best: Mutex<Option<(usize, T)>> = Mutex::new(None);
-    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n || i >= cutoff.load(Ordering::SeqCst) {
-                    break;
-                }
-                obs::counter!("farm.jobs_claimed").add(1);
-                queued.lap(obs::hist!("farm.queue_wait_ns"));
-                match eval_supervised(|| eval(i), i) {
-                    Ok(Some(t)) => {
-                        cutoff.fetch_min(i, Ordering::SeqCst);
-                        let mut b = best.lock();
-                        if b.as_ref().is_none_or(|&(bi, _)| i < bi) {
-                            *b = Some((i, t));
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(_) => failed.lock().push(i),
-                }
-            });
-        }
-    });
-    // Serial third attempts for jobs that panicked twice, in index order,
-    // stopping once the established minimum can no longer be improved. A
-    // deterministic panic propagates here, on the calling thread, after
-    // the farm has wound down cleanly.
-    let mut best = best.into_inner();
-    let mut failed = failed.into_inner();
-    failed.sort_unstable();
-    for i in failed {
-        if best.as_ref().is_some_and(|&(bi, _)| bi < i) {
-            break;
-        }
-        obs::counter!("farm.serial_fallback").add(1);
-        if let Some(t) = eval(i) {
-            if best.as_ref().is_none_or(|&(bi, _)| i < bi) {
-                best = Some((i, t));
-            }
-        }
-    }
-    best
+    let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
+    slots.into_iter().map(|s| s.expect("every index evaluated")).collect()
 }
 
 /// A reusable probe worker: a lockstep replay plus the checkpoint timeline
@@ -414,11 +351,11 @@ impl<P: ControlPlane> SessionPool<P> {
     }
 
     pub(crate) fn take(&self) -> Option<ProbeSession<P>> {
-        self.0.lock().pop()
+        lock(&self.0).pop()
     }
 
     pub(crate) fn put(&self, session: ProbeSession<P>) {
-        self.0.lock().push(session);
+        lock(&self.0).push(session);
     }
 }
 
@@ -484,46 +421,6 @@ mod tests {
     fn settle_degrades_failed_jobs_to_serial() {
         let results = vec![Ok(10), Err(JobPanic { index: 1, message: "boom".into() }), Ok(30)];
         assert_eq!(settle(results, |i| i * 100), vec![10, 100, 30]);
-    }
-
-    /// `sweep_min` keeps its earliest-hit guarantee when a job below the
-    /// eventual minimum panics twice: the serial third attempt re-probes it
-    /// before the answer is accepted.
-    #[test]
-    fn sweep_min_survives_panicking_probes() {
-        for jobs in [2, 3, 8] {
-            // Index 2 panics on its first two attempts, then succeeds with a
-            // hit — the sweep must still surface it as the minimum.
-            let calls = AtomicUsize::new(0);
-            let hit = |i: usize| {
-                if i == 2 && calls.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky probe");
-                }
-                [2, 7, 11].contains(&i).then_some(i * 10)
-            };
-            assert_eq!(sweep_min(jobs, 32, hit), Some((2, 20)), "jobs={jobs}");
-            // A panicking non-hit below the minimum must not mask it.
-            let calls = AtomicUsize::new(0);
-            let hit = |i: usize| {
-                if i == 1 && calls.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky probe");
-                }
-                (i == 7).then_some(i)
-            };
-            assert_eq!(sweep_min(jobs, 32, hit), Some((7, 7)), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn sweep_min_returns_the_smallest_hit_at_any_width() {
-        // Hits at 7, 11, 13: the sweep must report 7 under every job count,
-        // even though a wider pool may evaluate 11 or 13 first.
-        let hit = |i: usize| [7, 11, 13].contains(&i).then_some(i * 10);
-        for jobs in [1, 2, 3, 8] {
-            assert_eq!(sweep_min(jobs, 32, hit), Some((7, 70)), "jobs={jobs}");
-            assert_eq!(sweep_min(jobs, 32, |_: usize| None::<u8>), None, "jobs={jobs}");
-            assert_eq!(sweep_min(jobs, 7, hit), None, "hit lies past the range");
-        }
     }
 
     fn recorded() -> (topology::Graph, Recording<()>, Vec<OspfProcess>) {

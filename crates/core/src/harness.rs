@@ -11,28 +11,13 @@ use netsim::{
 use routing::ControlPlane;
 use std::collections::HashMap;
 use std::sync::Arc;
-use topology::{Graph, TopoMask};
+use topology::Graph;
 
 /// A production network instrumented with DEFINED-RB.
 pub struct RbNetwork<P: ControlPlane> {
     sim: Simulator<RbShim<P>>,
     shared: Arc<RbShared>,
     graph: Graph,
-}
-
-/// Builds the per-source shortest-path delay estimates (`dist[s][n]`, ns)
-/// the shims use to annotate beacon ticks.
-pub fn delay_estimates(g: &Graph) -> Vec<Vec<u64>> {
-    let mask = TopoMask::default();
-    (0..g.node_count())
-        .map(|s| {
-            let info = g.shortest_paths(NodeId(s as u32), &mask);
-            info.dist
-                .iter()
-                .map(|d| d.map(|x| x.0).unwrap_or(u64::MAX / 4))
-                .collect()
-        })
-        .collect()
 }
 
 impl<P: ControlPlane + 'static> RbNetwork<P> {
@@ -51,18 +36,7 @@ impl<P: ControlPlane + 'static> RbNetwork<P> {
         mut spawn: impl FnMut(NodeId) -> P + 'static,
     ) -> Self {
         let n = graph.node_count();
-        let mut link_est = vec![std::collections::BTreeMap::new(); n];
-        for e in graph.edges() {
-            link_est[e.a.index()].insert(e.b, e.delay.0);
-            link_est[e.b.index()].insert(e.a, e.delay.0);
-        }
-        let shared = Arc::new(RbShared {
-            cfg,
-            n,
-            link_est,
-            dist: delay_estimates(graph),
-            initial_source: NodeId(0),
-        });
+        let shared = Arc::new(RbShared::new(graph, cfg));
         let links = graph.to_links(|e| {
             LinkParams::with_delay(e.delay).jitter(JitterModel::Uniform { frac: jitter_frac })
         });
@@ -330,7 +304,7 @@ mod tests {
     use super::*;
     use netsim::SimDuration;
     use routing::ospf::{OspfConfig, OspfProcess};
-    use topology::canonical;
+    use topology::{canonical, TopoMask};
 
     fn ring_rb(seed: u64, jitter: f64) -> RbNetwork<OspfProcess> {
         let g = canonical::ring(4, SimDuration::from_millis(5));

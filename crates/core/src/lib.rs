@@ -20,6 +20,11 @@
 //!   function, which reproduces the production execution exactly
 //!   (Theorem 1). Its waves can execute across worker shards
 //!   ([`shard::ShardedWaves`]) — real threads, identical commits.
+//! * **One delivery kernel** ([`snapshot::NodeSnapshot::execute`],
+//!   [`snapshot::Event`], annotated through [`rb::RbShared`]) — the
+//!   per-event rule (run the handler, fire due timers to quiescence, sends
+//!   in emit order, payload digest) exists once, and both runtimes above
+//!   call it; Theorem 1 is that sentence.
 //! * **Interactive debugging** ([`debugger::Debugger`]) — single-event
 //!   stepping, state inspection, breakpoints, and in-place patching; a
 //!   text-command front-end ([`session::DebugSession`]) for scripts and
@@ -81,7 +86,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bisect;
-pub mod bufpool;
 pub mod config;
 pub mod debugger;
 pub mod explore;
@@ -106,4 +110,4 @@ pub use metrics::RbMetrics;
 pub use order::{Annotation, EventClass, MsgId, OrderKey};
 pub use rb::{Envelope, RbShim};
 pub use recorder::{CommitRecord, ExtRecord, Recording};
-pub use shard::{resolve_workers, ShardedWaves, WaveEngine};
+pub use shard::{resolve_workers, ShardedWaves};

@@ -7,7 +7,10 @@
 //! the same ordering function the production network used — in sub-cycle
 //! `c+1`. Because the production order key leads with `(group, chain)`, the
 //! lockstep delivery order *is* the production committed order, which is how
-//! Theorem 1 (reproducibility) holds by construction here.
+//! Theorem 1 (reproducibility) holds by construction here. What a delivery
+//! *does* is not defined here at all: each one is the kernel the production
+//! shim runs ([`NodeSnapshot::execute`]), annotated by the same
+//! [`RbShared`] recipes.
 //!
 //! Recorded message losses are replayed by committed send index
 //! (footnote 4), and recorded external events are injected at the start of
@@ -19,9 +22,10 @@
 
 use crate::config::DefinedConfig;
 use crate::order::Annotation;
+use crate::rb::RbShared;
 use crate::recorder::{CommitRecord, Recording};
-use crate::shard::{DeliveryCtx, LsNode, LsPayload, Pending, ShardedWaves, WaveEngine};
-use crate::snapshot::NodeSnapshot;
+use crate::shard::{DeliveryCtx, LsNode, Pending, ShardedWaves};
+use crate::snapshot::{Event, NodeSnapshot};
 use crate::wire::Wire;
 use checkpoint::Snapshotable;
 use defined_obs as obs;
@@ -59,7 +63,9 @@ pub struct LsEvent {
 
 /// The lockstep debugging network.
 pub struct LockstepNet<P: ControlPlane> {
-    cfg: DefinedConfig,
+    /// The configuration, delay estimates and annotation recipes — the same
+    /// struct the production shims run under.
+    shared: RbShared,
     recording: Recording<P::Ext>,
     drops: HashSet<(NodeId, u64)>,
     /// Recorded beacon delivery schedule: group → [(node, announcing
@@ -72,8 +78,6 @@ pub struct LockstepNet<P: ControlPlane> {
     ///
     /// [`OrderKey::identity`]: crate::order::OrderKey::identity
     mutes: BTreeMap<NodeId, HashSet<crate::order::EventIdentity>>,
-    link_est: Vec<BTreeMap<NodeId, u64>>,
-    dist: Vec<Vec<u64>>,
     nodes: Vec<LsNode<P>>,
     logs: Vec<Vec<CommitRecord>>,
     group: u64,
@@ -86,7 +90,7 @@ pub struct LockstepNet<P: ControlPlane> {
     done: bool,
     /// How staged waves execute: serial sweep (`ShardedWaves::new(1)`, the
     /// default) or partitioned across worker shards.
-    engine: Box<dyn WaveEngine<P>>,
+    engine: ShardedWaves,
 }
 
 impl<P: ControlPlane> LockstepNet<P> {
@@ -100,12 +104,6 @@ impl<P: ControlPlane> LockstepNet<P> {
     ) -> Self {
         let n = graph.node_count();
         assert_eq!(n, recording.n_nodes, "recording is for a different network");
-        let mut link_est = vec![BTreeMap::new(); n];
-        for e in graph.edges() {
-            link_est[e.a.index()].insert(e.b, e.delay.0);
-            link_est[e.b.index()].insert(e.a, e.delay.0);
-        }
-        let dist = crate::harness::delay_estimates(graph);
         let drops = recording.drops.iter().map(|d| (d.sender, d.idx)).collect();
         let mut ticks: BTreeMap<u64, Vec<(NodeId, NodeId)>> = BTreeMap::new();
         for t in &recording.ticks {
@@ -120,13 +118,11 @@ impl<P: ControlPlane> LockstepNet<P> {
             .map(|i| LsNode { snap: NodeSnapshot::new(spawn(NodeId(i as u32))), send_count: 0 })
             .collect();
         LockstepNet {
-            cfg,
+            shared: RbShared::new(graph, cfg),
             recording,
             drops,
             ticks,
             mutes,
-            link_est,
-            dist,
             nodes,
             logs: vec![Vec::new(); n],
             group: 0,
@@ -137,28 +133,22 @@ impl<P: ControlPlane> LockstepNet<P> {
             holdover: BTreeMap::new(),
             step_times: Vec::new(),
             done: false,
-            engine: Box::new(ShardedWaves::new(1)),
+            engine: ShardedWaves::new(1),
         }
     }
 
     /// Executes waves across `shards` worker shards (`0` = auto, the host's
-    /// available parallelism). By the [`WaveEngine`] contract this changes
-    /// only cost: committed logs, images, and transcripts are byte-identical
-    /// for every shard count.
+    /// available parallelism). By the [`ShardedWaves::execute`] contract
+    /// this changes only cost: committed logs, images, and transcripts are
+    /// byte-identical for every shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.engine = Box::new(ShardedWaves::new(shards));
+        self.engine = ShardedWaves::new(shards);
         self
     }
 
     /// The installed engine's worker-shard count.
     pub fn shards(&self) -> usize {
         self.engine.shards()
-    }
-
-    /// Installs a custom wave engine (e.g. an instrumented one in tests).
-    #[cfg(test)]
-    pub(crate) fn set_engine(&mut self, engine: Box<dyn WaveEngine<P>>) {
-        self.engine = engine;
     }
 
     /// The group currently being replayed.
@@ -228,50 +218,33 @@ impl<P: ControlPlane> LockstepNet<P> {
     /// [`step_event`]: LockstepNet::step_event
     /// [`run_to_group_start`]: LockstepNet::run_to_group_start
     fn deliver_next_staged(&mut self) -> Option<LsEvent> {
-        let LockstepNet {
-            cfg,
-            drops,
-            mutes,
-            link_est,
-            nodes,
-            logs,
-            group,
-            chain,
-            queue,
-            queue_pos,
-            next_wave,
-            holdover,
-            ..
-        } = self;
         let ctx = DeliveryCtx {
-            ordering: cfg.ordering,
-            chain_bound: cfg.chain_bound,
-            group: *group,
-            chain: *chain,
-            drops,
-            mutes,
-            link_est,
+            shared: &self.shared,
+            group: self.group,
+            chain: self.chain,
+            drops: &self.drops,
+            mutes: &self.mutes,
         };
-        while *queue_pos < queue.len() {
-            let p = &queue[*queue_pos];
-            *queue_pos += 1;
+        while self.queue_pos < self.queue.len() {
+            let p = &self.queue[self.queue_pos];
+            self.queue_pos += 1;
             if !ctx.allows(p) {
                 continue;
             }
             let idx = p.to.index();
             let mut emitted = Vec::new();
-            let ev = ctx.deliver(&mut nodes[idx], &mut logs[idx], p, &mut emitted);
+            let ev = ctx.deliver(&mut self.nodes[idx], &mut self.logs[idx], p, &mut emitted);
             obs::counter!("ls.delivered").add(1);
             obs::counter!("ls.emitted").add(emitted.len() as u64);
-            route_emitted(*group, next_wave, holdover, emitted);
+            route_emitted(self.group, &mut self.next_wave, &mut self.holdover, emitted);
             return Some(ev);
         }
         None
     }
 
-    /// Executes the *whole* remaining staged wave through the installed
-    /// [`WaveEngine`] — the sharded fast path. Equivalent to draining
-    /// [`deliver_next_staged`] (the engine contract), but the engine sees
+    /// Executes the *whole* remaining staged wave through the engine — the
+    /// sharded fast path. Equivalent to draining [`deliver_next_staged`]
+    /// (the [`ShardedWaves::execute`] contract), but the engine sees
     /// the wave at once and may partition it across workers. Returns false
     /// when nothing was staged (never advances phases or groups).
     ///
@@ -280,41 +253,24 @@ impl<P: ControlPlane> LockstepNet<P> {
         if self.queue_pos >= self.queue.len() {
             return false;
         }
-        let LockstepNet {
-            cfg,
-            drops,
-            mutes,
-            link_est,
-            nodes,
-            logs,
-            group,
-            chain,
-            queue,
-            queue_pos,
-            next_wave,
-            holdover,
-            engine,
-            ..
-        } = self;
         let ctx = DeliveryCtx {
-            ordering: cfg.ordering,
-            chain_bound: cfg.chain_bound,
-            group: *group,
-            chain: *chain,
-            drops,
-            mutes,
-            link_est,
+            shared: &self.shared,
+            group: self.group,
+            chain: self.chain,
+            drops: &self.drops,
+            mutes: &self.mutes,
         };
         let out = {
             let _wave = obs::span!("ls.wave");
-            engine.execute(&ctx, nodes, logs, &queue[*queue_pos..])
+            let wave = &self.queue[self.queue_pos..];
+            self.engine.execute(&ctx, &mut self.nodes, &mut self.logs, wave)
         };
         obs::counter!("ls.waves").add(1);
         obs::counter!("ls.delivered").add(out.delivered as u64);
         obs::counter!("ls.emitted").add(out.emitted.len() as u64);
         obs::hist!("ls.wave_events").record(out.delivered as u64);
-        *queue_pos = queue.len();
-        route_emitted(*group, next_wave, holdover, out.emitted);
+        self.queue_pos = self.queue.len();
+        route_emitted(self.group, &mut self.next_wave, &mut self.holdover, out.emitted);
         true
     }
 
@@ -380,18 +336,16 @@ impl<P: ControlPlane> LockstepNet<P> {
                 let node = NodeId(i as u32);
                 wave.push(Pending {
                     to: node,
-                    from: node,
                     ann: Annotation::external(node, 1, 0),
-                    ev: LsPayload::Start,
+                    ev: Event::Start,
                 });
             }
         }
         for e in self.recording.externals_for_group(self.group) {
             wave.push(Pending {
                 to: e.node,
-                from: e.node,
                 ann: Annotation::external(e.node, self.group, e.ext_seq),
-                ev: LsPayload::External(e.payload),
+                ev: Event::External(e.payload),
             });
         }
         // Beacon ticks follow the recorded delivery schedule: a node that
@@ -400,13 +354,8 @@ impl<P: ControlPlane> LockstepNet<P> {
         for &(node, source) in self.ticks.get(&self.group).map(Vec::as_slice).unwrap_or(&[]) {
             wave.push(Pending {
                 to: node,
-                from: source,
-                ann: Annotation::beacon(
-                    source,
-                    self.group,
-                    self.dist[source.index()][node.index()],
-                ),
-                ev: LsPayload::BeaconTick,
+                ann: self.shared.beacon_annotation(source, self.group, node),
+                ev: Event::BeaconTick,
             });
         }
         self.stage_wave(wave);
@@ -424,7 +373,7 @@ impl<P: ControlPlane> LockstepNet<P> {
     /// emit-concatenation order of the previous wave's shards and the sort
     /// algorithm's stability, so sharded and serial staging coincide.
     fn stage_wave(&mut self, mut wave: Wave<P>) {
-        let ordering = self.cfg.ordering;
+        let ordering = self.shared.cfg.ordering;
         wave.sort_by_key(|a| (a.ann.key(ordering), a.to));
         debug_assert!(
             wave.windows(2).all(|w| (w[0].ann.key(ordering), w[0].to) < (w[1].ann.key(ordering), w[1].to)),
@@ -441,17 +390,21 @@ impl<P: ControlPlane> LockstepNet<P> {
         let mut max_link = 0u64;
         let mut per_node: BTreeMap<NodeId, u64> = BTreeMap::new();
         for p in &self.queue {
-            if p.from != p.to {
-                let l = self.link_est[p.from.index()].get(&p.to).copied().unwrap_or(
-                    self.dist[p.from.index()][p.to.index()],
-                );
+            // The transmitter: the sender of a message, the announcing
+            // source of a tick, the node itself for its own externals.
+            let from = p.ann.sender;
+            if from != p.to {
+                let l = self.shared.link_est[from.index()]
+                    .get(&p.to)
+                    .copied()
+                    .unwrap_or(self.shared.dist[from.index()][p.to.index()]);
                 max_link = max_link.max(l);
             }
             *per_node.entry(p.to).or_default() += 1;
         }
         let max_proc = per_node.values().max().copied().unwrap_or(0) * PER_DELIVERY_NS;
         let max_coord = (0..self.nodes.len())
-            .map(|i| self.dist[COORDINATOR.index()][i])
+            .map(|i| self.shared.dist[COORDINATOR.index()][i])
             .max()
             .unwrap_or(0);
         let barrier = 2 * (max_coord + BARRIER_BASE_NS);
@@ -594,7 +547,7 @@ fn route_emitted<M, X>(
     emitted: Vec<Pending<M, X>>,
 ) {
     for p in emitted {
-        let g = p.annotation().group;
+        let g = p.ann.group;
         if g == group {
             next_wave.push(p);
         } else {
@@ -675,34 +628,33 @@ impl<P: ControlPlane> Clone for LsImage<P> {
 
 fn encode_pending<M: Wire, X: Wire>(p: &Pending<M, X>, buf: &mut Vec<u8>) {
     put_u32(buf, p.to.0);
-    put_u32(buf, p.from.0);
     p.ann.encode(buf);
     match &p.ev {
-        LsPayload::Start => put_u8(buf, 0),
-        LsPayload::External(x) => {
+        Event::Start => put_u8(buf, 0),
+        Event::External(x) => {
             put_u8(buf, 1);
             x.encode(buf);
         }
-        LsPayload::BeaconTick => put_u8(buf, 2),
-        LsPayload::Msg(m) => {
+        Event::BeaconTick => put_u8(buf, 2),
+        Event::Msg { from, payload } => {
             put_u8(buf, 3);
-            m.encode(buf);
+            put_u32(buf, from.0);
+            payload.encode(buf);
         }
     }
 }
 
 fn decode_pending<M: Wire, X: Wire>(r: &mut Reader<'_>) -> Option<Pending<M, X>> {
     let to = NodeId(r.u32()?);
-    let from = NodeId(r.u32()?);
     let ann = Annotation::decode(r)?;
     let ev = match r.u8()? {
-        0 => LsPayload::Start,
-        1 => LsPayload::External(X::decode(r)?),
-        2 => LsPayload::BeaconTick,
-        3 => LsPayload::Msg(M::decode(r)?),
+        0 => Event::Start,
+        1 => Event::External(X::decode(r)?),
+        2 => Event::BeaconTick,
+        3 => Event::Msg { from: NodeId(r.u32()?), payload: M::decode(r)? },
         _ => return None,
     };
-    Some(Pending { to, from, ann, ev })
+    Some(Pending { to, ann, ev })
 }
 
 fn encode_wave<M: Wire, X: Wire>(wave: &[Pending<M, X>], buf: &mut Vec<u8>) {
@@ -730,17 +682,10 @@ where
     fn encode(&self, buf: &mut Vec<u8>) {
         let start = buf.len();
         put_u64(buf, self.nodes.len() as u64);
-        crate::bufpool::with_buf(|scratch| {
-            for (snap, send_count) in &self.nodes {
-                // Length-prefixed: NodeSnapshot's own decoder expects to own
-                // the remainder of its buffer.
-                scratch.clear();
-                snap.encode(scratch);
-                put_u64(buf, scratch.len() as u64);
-                buf.extend_from_slice(scratch);
-                put_u64(buf, *send_count);
-            }
-        });
+        for (snap, send_count) in &self.nodes {
+            snap.encode(buf);
+            put_u64(buf, *send_count);
+        }
         for &len in &self.log_lens {
             put_u64(buf, len as u64);
         }
@@ -759,15 +704,12 @@ where
         obs::counter!("wire.bytes_encoded").add((buf.len() - start) as u64);
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        obs::counter!("wire.bytes_decoded").add(bytes.len() as u64);
-        let mut r = Reader::new(bytes);
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        let start = r.remaining();
         let n_nodes = r.len()?;
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
-            let len = r.len()?;
-            let snap = NodeSnapshot::<P>::decode(r.bytes(len)?)?;
-            nodes.push((snap, r.u64()?));
+            nodes.push((NodeSnapshot::<P>::decode_from(r)?, r.u64()?));
         }
         let mut log_lens = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
@@ -775,22 +717,23 @@ where
         }
         let group = r.u64()?;
         let chain = r.u32()?;
-        let queue = decode_wave(&mut r)?;
+        let queue = decode_wave(r)?;
         // A position, not an element count — `Reader::len`'s remaining-bytes
         // sanity check does not apply.
         let queue_pos = r.u64()? as usize;
         if queue_pos > queue.len() {
             return None;
         }
-        let next_wave = decode_wave(&mut r)?;
+        let next_wave = decode_wave(r)?;
         let n_hold = r.len()?;
         let mut holdover = BTreeMap::new();
         for _ in 0..n_hold {
             let g = r.u64()?;
-            holdover.insert(g, decode_wave(&mut r)?);
+            holdover.insert(g, decode_wave(r)?);
         }
         let step_times_len = r.u64()? as usize;
         let done = r.u8()? != 0;
+        obs::counter!("wire.bytes_decoded").add((start - r.remaining()) as u64);
         Some(LsImage {
             nodes,
             log_lens,
@@ -1040,9 +983,7 @@ mod tests {
         };
         for shards in [2usize, 4] {
             let mut net = small_ls();
-            net.set_engine(Box::new(
-                crate::shard::ShardedWaves::new(shards).with_min_wave_per_shard(0),
-            ));
+            net.engine = ShardedWaves::new(shards).with_min_wave_per_shard(0);
             assert_eq!(net.shards(), shards);
             net.run_to_end();
             assert_eq!(net.logs(), &serial_logs[..], "shards={shards} diverged from serial");
@@ -1050,14 +991,14 @@ mod tests {
         // Cross-shard-count checkpoint seeding: capture under shards=2,
         // restore into shards=4, finish — still the serial logs.
         let mut two = small_ls();
-        two.set_engine(Box::new(crate::shard::ShardedWaves::new(2).with_min_wave_per_shard(0)));
+        two.engine = ShardedWaves::new(2).with_min_wave_per_shard(0);
         two.run_to_group_start(5);
         let img = two.capture_image();
         let mut history = LsHistory::new(4);
         two.run_to_end();
         two.merge_history(&mut history);
         let mut four = small_ls();
-        four.set_engine(Box::new(crate::shard::ShardedWaves::new(4).with_min_wave_per_shard(0)));
+        four.engine = ShardedWaves::new(4).with_min_wave_per_shard(0);
         four.restore_image_seeded(img, &history);
         four.run_to_end();
         assert_eq!(four.logs(), &serial_logs[..], "cross-shard-count restore diverged");
@@ -1087,7 +1028,7 @@ mod tests {
                 let mut ls = LockstepNet::new(g, cfg.clone(), rec.clone(), spawn.clone());
                 if per_node {
                     let n = g.node_count();
-                    ls.set_engine(Box::new(ShardedWaves::new(n).with_min_wave_per_shard(0)));
+                    ls.engine = ShardedWaves::new(n).with_min_wave_per_shard(0);
                     assert_eq!(ls.shards(), n);
                 }
                 ls.run_to_end();
@@ -1134,7 +1075,7 @@ mod tests {
             r.logs().to_vec()
         };
         let mut ls = small_ls();
-        ls.set_engine(Box::new(crate::shard::ShardedWaves::new(2).with_min_wave_per_shard(0)));
+        ls.engine = ShardedWaves::new(2).with_min_wave_per_shard(0);
         assert!(ls.run_to_group_start(5) || ls.is_done());
         assert!(ls.at_group_start());
         assert_eq!(ls.current_group(), 5);

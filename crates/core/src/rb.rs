@@ -20,12 +20,13 @@ use crate::metrics::RbMetrics;
 use defined_obs as obs;
 use crate::order::{debug_digest, Annotation, EventClass, MsgId, OrderKey};
 use crate::recorder::CommitRecord;
-use crate::snapshot::NodeSnapshot;
+use crate::snapshot::{Event, NodeSnapshot};
 use checkpoint::{Checkpointer, Snapshotable};
 use netsim::{NodeId, Process, ProcessCtx, SimDuration, SimTime, TimerId, TimerKey};
-use routing::{ControlPlane, Outbox};
+use routing::ControlPlane;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use topology::{Graph, TopoMask};
 
 /// Real (simulator wall-clock) timers the shim itself uses.
 const TK_BEACON: TimerKey = TimerKey(1);
@@ -61,13 +62,15 @@ pub enum Envelope<M> {
     },
 }
 
-/// Network-wide immutable context shared by every shim.
+/// Network-wide immutable context shared by every shim, and by the
+/// lockstep replayer: the run configuration, the delay estimates measured
+/// before launch, and the two annotation recipes built on them. Both
+/// runtimes annotate through this one struct, which is what keeps a
+/// replayed key equal to the production key.
 #[derive(Clone, Debug)]
 pub struct RbShared {
     /// The run configuration.
     pub cfg: DefinedConfig,
-    /// Node count.
-    pub n: usize,
     /// `link_est[a]` maps neighbour → measured average delay (ns) of the
     /// `a → neighbour` link, measured before launch as §2.2 prescribes.
     pub link_est: Vec<BTreeMap<NodeId, u64>>,
@@ -78,26 +81,52 @@ pub struct RbShared {
     pub initial_source: NodeId,
 }
 
-impl RbShared {
-    fn link_est(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link_est[from.index()].get(&to).copied().unwrap_or(1)
-    }
+/// Builds the per-source shortest-path delay estimates (`dist[s][n]`, ns)
+/// beacon ticks are annotated with.
+fn delay_estimates(g: &Graph) -> Vec<Vec<u64>> {
+    let mask = TopoMask::default();
+    (0..g.node_count())
+        .map(|s| {
+            let info = g.shortest_paths(NodeId(s as u32), &mask);
+            info.dist
+                .iter()
+                .map(|d| d.map(|x| x.0).unwrap_or(u64::MAX / 4))
+                .collect()
+        })
+        .collect()
 }
 
-/// A deliverable local event.
-#[derive(Clone, Debug)]
-enum LocalEvent<M, X> {
-    /// Node startup (`on_start`).
-    Start,
-    /// An external input.
-    External(X),
-    /// A beacon tick: advance virtual time, fire due timers.
-    BeaconTick,
-    /// An application message.
-    Msg {
-        from: NodeId,
-        payload: M,
-    },
+impl RbShared {
+    /// The context of a run over `graph`: link delays read off its edges,
+    /// path delays from its shortest paths, node 0 the beacon source.
+    pub fn new(graph: &Graph, cfg: DefinedConfig) -> Self {
+        let mut link_est = vec![BTreeMap::new(); graph.node_count()];
+        for e in graph.edges() {
+            link_est[e.a.index()].insert(e.b, e.delay.0);
+            link_est[e.b.index()].insert(e.a, e.delay.0);
+        }
+        RbShared { cfg, link_est, dist: delay_estimates(graph), initial_source: NodeId(0) }
+    }
+
+    /// Annotation of the `emit`-th message `me` sends to `to` while
+    /// handling the event annotated `parent` (an unmeasured link counts as
+    /// 1 ns).
+    pub fn child_annotation(
+        &self,
+        parent: &Annotation,
+        me: NodeId,
+        to: NodeId,
+        emit: usize,
+    ) -> Annotation {
+        let link = self.link_est[me.index()].get(&to).copied().unwrap_or(1);
+        Annotation::child(parent, me, link, emit as u32, self.cfg.chain_bound)
+    }
+
+    /// Annotation of the group-`number` tick announced by `source`, as
+    /// delivered at `node`.
+    pub fn beacon_annotation(&self, source: NodeId, number: u64, node: NodeId) -> Annotation {
+        Annotation::beacon(source, number, self.dist[source.index()][node.index()])
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -106,7 +135,7 @@ struct Entry<M, X> {
     ann: Annotation,
     /// Wire identity for messages (unsend matching).
     id: Option<MsgId>,
-    ev: LocalEvent<M, X>,
+    ev: Event<M, X>,
     ckpt: Option<checkpoint::CheckpointId>,
     arrived: SimTime,
     /// Messages this entry's delivery transmitted (replaced on redelivery);
@@ -411,13 +440,7 @@ impl<P: ControlPlane> RbShim<P> {
     }
 
     fn record_of(e: &Entry<P::Msg, P::Ext>) -> CommitRecord {
-        let payload_digest = match &e.ev {
-            LocalEvent::Start => 1,
-            LocalEvent::BeaconTick => 0,
-            LocalEvent::External(x) => debug_digest(x),
-            LocalEvent::Msg { payload, .. } => debug_digest(payload),
-        };
-        CommitRecord { key: e.key, ann: e.ann, payload_digest }
+        CommitRecord { key: e.key, ann: e.ann, payload_digest: e.ev.payload_digest() }
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +452,7 @@ impl<P: ControlPlane> RbShim<P> {
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         ann: Annotation,
         id: Option<MsgId>,
-        ev: LocalEvent<P::Msg, P::Ext>,
+        ev: Event<P::Msg, P::Ext>,
     ) {
         let key = ann.key(self.shared.cfg.ordering);
         let entry = Entry {
@@ -518,7 +541,7 @@ impl<P: ControlPlane> RbShim<P> {
             let id = self.ckpt.checkpoint(&self.snap);
             entry.ckpt = Some(id);
             self.deliveries_since_ckpt = 0;
-            let stats = self.ckpt.stats_fast();
+            let stats = self.ckpt.stats();
             let bytes = stats.virtual_bytes / stats.retained.max(1);
             if self.ckpt_samples.len() < SAMPLE_CAP {
                 self.ckpt_samples.push(CheckpointSample {
@@ -550,51 +573,6 @@ impl<P: ControlPlane> RbShim<P> {
         self.adapt_window += 1;
     }
 
-    /// Runs `entry`'s handler(s) against the control plane, applies their
-    /// timer operations to the wheel, and returns what they sent, in emit
-    /// order. Touches nothing outside `self.snap`.
-    fn execute(&mut self, entry: &Entry<P::Msg, P::Ext>) -> Vec<(NodeId, P::Msg)> {
-        // Match by reference: events carry whole LSA/update payloads, and
-        // this runs once per (re-)delivery — the clone was a hot-path
-        // allocation for nothing.
-        let mut out = Outbox::new();
-        match &entry.ev {
-            LocalEvent::Start => self.snap.cp.on_start(&mut out),
-            LocalEvent::External(x) => self.snap.cp.on_external(x, &mut out),
-            LocalEvent::Msg { from, payload } => self.snap.cp.on_message(*from, payload, &mut out),
-            LocalEvent::BeaconTick => {
-                self.snap.current_group = entry.ann.group;
-                // Fire due timers until quiescent (a handler may arm a timer
-                // due in the same group).
-                let mut sends = Vec::new();
-                loop {
-                    let due = self.snap.take_due_timers(self.snap.current_group);
-                    if due.is_empty() {
-                        return sends;
-                    }
-                    for token in due {
-                        let mut out = Outbox::new();
-                        self.snap.cp.on_timer(token, &mut out);
-                        self.snap.apply_timer_ops(&out.arms, &out.cancels);
-                        sends.append(&mut out.sends);
-                    }
-                }
-            }
-        }
-        self.snap.apply_timer_ops(&out.arms, &out.cancels);
-        out.sends
-    }
-
-    fn child_annotation(&self, parent: &Annotation, to: NodeId, emit: usize) -> Annotation {
-        Annotation::child(
-            parent,
-            self.me,
-            self.shared.link_est(self.me, to),
-            emit as u32,
-            self.shared.cfg.chain_bound,
-        )
-    }
-
     /// Executes one entry against the control plane and transmits its
     /// outputs, everything logged for possible unsending. On a re-delivery
     /// `entry.sends` holds what the previous execution transmitted: a
@@ -607,7 +585,7 @@ impl<P: ControlPlane> RbShim<P> {
         ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>,
         entry: &mut Entry<P::Msg, P::Ext>,
     ) {
-        let out = self.execute(entry);
+        let out = self.snap.execute(entry.ann.group, &entry.ev);
         let extra = if self.shared.cfg.charge_overhead {
             self.pending_overhead
         } else {
@@ -616,7 +594,7 @@ impl<P: ControlPlane> RbShim<P> {
         let mut recs = std::mem::take(&mut entry.sends);
         let emitted = out.len();
         for (emit, (to, payload)) in out.into_iter().enumerate() {
-            let ann = self.child_annotation(&entry.ann, to, emit);
+            let ann = self.shared.child_annotation(&entry.ann, self.me, to, emit);
             let digest = debug_digest(&payload);
             if let Some(old) = recs.get(emit) {
                 if (old.digest, old.to, old.ann) == (digest, to, ann) {
@@ -648,7 +626,7 @@ impl<P: ControlPlane> RbShim<P> {
     /// Debug builds regenerate and compare every send, which makes every
     /// rollback-exercising test the optimisation-off oracle.
     fn replay_state_only(&mut self, entry: &Entry<P::Msg, P::Ext>) {
-        let out = self.execute(entry);
+        let out = self.snap.execute(entry.ann.group, &entry.ev);
         assert_eq!(
             out.len(),
             entry.sends.len(),
@@ -659,8 +637,11 @@ impl<P: ControlPlane> RbShim<P> {
         );
         if cfg!(debug_assertions) {
             for (emit, ((to, payload), rec)) in out.iter().zip(&entry.sends).enumerate() {
-                let regenerated =
-                    (*to, self.child_annotation(&entry.ann, *to, emit), debug_digest(payload));
+                let regenerated = (
+                    *to,
+                    self.shared.child_annotation(&entry.ann, self.me, *to, emit),
+                    debug_digest(payload),
+                );
                 debug_assert_eq!(
                     regenerated,
                     (rec.to, rec.ann, rec.digest),
@@ -762,7 +743,7 @@ impl<P: ControlPlane> RbShim<P> {
         let restored = self.ckpt.restore(cid).expect("checkpoint restorable");
         let head = std::mem::replace(&mut self.snap, restored);
         self.incarnation += 1;
-        let stats = self.ckpt.stats_fast();
+        let stats = self.ckpt.stats();
         let bytes = stats.virtual_bytes / stats.retained.max(1);
         let replayed = self.history.len() - j;
         if self.rollback_samples.len() < SAMPLE_CAP {
@@ -951,8 +932,8 @@ impl<P: ControlPlane> RbShim<P> {
             ctx.send_control(nb, Envelope::Beacon { epoch: self.epoch, source: self.me, number });
         }
         self.deliver_start_if_pending(ctx, number);
-        let ann = Annotation::beacon(self.me, number, 0);
-        self.insert_arrival(ctx, ann, None, LocalEvent::BeaconTick);
+        let ann = self.shared.beacon_annotation(self.me, number, self.me);
+        self.insert_arrival(ctx, ann, None, Event::BeaconTick);
     }
 
     /// Startup is deferred until the group is known (first beacon), so a
@@ -969,7 +950,7 @@ impl<P: ControlPlane> RbShim<P> {
         self.started = true;
         let ann = Annotation::external(self.me, group, 0);
         self.ext_seq = 1;
-        self.insert_arrival(ctx, ann, None, LocalEvent::Start);
+        self.insert_arrival(ctx, ann, None, Event::Start);
     }
 
     fn on_beacon(
@@ -1028,8 +1009,8 @@ impl<P: ControlPlane> RbShim<P> {
         }
         self.max_beacon_seen = number;
         self.deliver_start_if_pending(ctx, number);
-        let ann = Annotation::beacon(source, number, self.shared.dist[source.index()][self.me.index()]);
-        self.insert_arrival(ctx, ann, None, LocalEvent::BeaconTick);
+        let ann = self.shared.beacon_annotation(source, number, self.me);
+        self.insert_arrival(ctx, ann, None, Event::BeaconTick);
     }
 }
 
@@ -1076,7 +1057,7 @@ impl<P: ControlPlane> Process for RbShim<P> {
                 if !self.seen_ids.insert(id) {
                     return; // Duplicate arrival.
                 }
-                self.insert_arrival(ctx, ann, Some(id), LocalEvent::Msg { from, payload });
+                self.insert_arrival(ctx, ann, Some(id), Event::Msg { from, payload });
             }
             Envelope::Beacon { epoch, source, number } => {
                 self.on_beacon(ctx, from, epoch, source, number);
@@ -1100,7 +1081,7 @@ impl<P: ControlPlane> Process for RbShim<P> {
         );
         self.ext_log.push(ExtLogEntry { ext_seq: seq, group, payload: ev.clone() });
         let ann = Annotation::external(self.me, group, seq);
-        self.insert_arrival(ctx, ann, None, LocalEvent::External(ev));
+        self.insert_arrival(ctx, ann, None, Event::External(ev));
     }
 
     fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Envelope<P::Msg>>, _id: TimerId, key: TimerKey) {

@@ -20,23 +20,23 @@
 //!   sorted by the strictly total `(OrderKey, to)` before the next wave is
 //!   consumed, so the cross-shard exchange erases shard boundaries.
 //!
-//! [`WaveEngine`] is the seam: [`ShardedWaves`] executes a wave across a
-//! block partition of the nodes (`shards = 1` is the inline serial sweep),
-//! and an alternative engine — e.g. GVT-bounded optimistic execution over
-//! the `core::rb` Time Warp machinery — implements the same trait without
-//! touching the replay state machine.
+//! [`ShardedWaves`] is the one engine: it executes a wave across a block
+//! partition of the nodes (`shards = 1` is the inline serial sweep), and
+//! each delivery is the kernel both runtimes share
+//! ([`NodeSnapshot::execute`]) under the annotation recipes of
+//! [`RbShared`].
 //!
 //! [`LockstepNet`]: crate::ls::LockstepNet
 //! [`EventIdentity`]: crate::order::EventIdentity
 
-use crate::config::OrderingMode;
 use crate::ls::LsEvent;
-use defined_obs as obs;
-use crate::order::{debug_digest, Annotation, EventIdentity};
+use crate::order::{Annotation, EventIdentity};
+use crate::rb::RbShared;
 use crate::recorder::CommitRecord;
-use crate::snapshot::NodeSnapshot;
+use crate::snapshot::{Event, NodeSnapshot};
+use defined_obs as obs;
 use netsim::NodeId;
-use routing::{ControlPlane, Outbox};
+use routing::ControlPlane;
 use std::collections::{BTreeMap, HashSet};
 
 /// Resolves a requested worker count: `0` means "auto" — the host's
@@ -49,34 +49,13 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// One staged delivery of a lockstep wave.
+/// One staged delivery of a lockstep wave: the event, its ordering
+/// annotation, and the destination node the shard partition routes on.
 #[derive(Clone, Debug)]
 pub struct Pending<M, X> {
     pub(crate) to: NodeId,
-    pub(crate) from: NodeId,
     pub(crate) ann: Annotation,
-    pub(crate) ev: LsPayload<M, X>,
-}
-
-impl<M, X> Pending<M, X> {
-    /// The destination node — what the shard partition routes on.
-    pub fn destination(&self) -> NodeId {
-        self.to
-    }
-
-    /// The delivery's ordering annotation.
-    pub fn annotation(&self) -> &Annotation {
-        &self.ann
-    }
-}
-
-/// What a staged delivery carries.
-#[derive(Clone, Debug)]
-pub(crate) enum LsPayload<M, X> {
-    Start,
-    External(X),
-    BeaconTick,
-    Msg(M),
+    pub(crate) ev: Event<M, X>,
 }
 
 /// One replayed node: its composite snapshot plus the committed send
@@ -86,19 +65,17 @@ pub struct LsNode<P: ControlPlane> {
     pub(crate) send_count: u64,
 }
 
-/// The read-only delivery context one wave executes under: the ordering
-/// configuration and the recording-derived tables (losses, death cuts, link
-/// estimates), plus the wave's phase markers. Shared by every shard of a
-/// wave — nothing in it is written during execution, which is what makes
-/// the shards independent.
+/// The read-only delivery context one wave executes under: the run's
+/// shared context (ordering configuration, link estimates), the
+/// recording-derived tables (losses, death cuts), and the wave's phase
+/// markers. Shared by every shard of a wave — nothing in it is written
+/// during execution, which is what makes the shards independent.
 pub struct DeliveryCtx<'a> {
-    pub(crate) ordering: OrderingMode,
-    pub(crate) chain_bound: u32,
+    pub(crate) shared: &'a RbShared,
     pub(crate) group: u64,
     pub(crate) chain: u32,
     pub(crate) drops: &'a HashSet<(NodeId, u64)>,
     pub(crate) mutes: &'a BTreeMap<NodeId, HashSet<EventIdentity>>,
-    pub(crate) link_est: &'a [BTreeMap<NodeId, u64>],
 }
 
 impl DeliveryCtx<'_> {
@@ -109,15 +86,17 @@ impl DeliveryCtx<'_> {
     /// holds serially.
     pub fn allows<M, X>(&self, p: &Pending<M, X>) -> bool {
         match self.mutes.get(&p.to) {
-            Some(allowed) => allowed.contains(&p.ann.key(self.ordering).identity()),
+            Some(allowed) => allowed.contains(&p.ann.key(self.shared.cfg.ordering).identity()),
             None => true,
         }
     }
 
-    /// Delivers `p` to its destination node, pushing the commit record onto
-    /// `log` and every surviving send onto `emitted`. Touches nothing but
-    /// `node`, `log`, and `emitted` — the whole determinism argument of
-    /// sharded execution rests on this signature.
+    /// Delivers `p` to its destination node through the shared kernel,
+    /// pushing the commit record onto `log` and every surviving send —
+    /// annotated, counted against the node's committed send index, recorded
+    /// losses replayed — onto `emitted`. Touches nothing but `node`, `log`,
+    /// and `emitted` — the whole determinism argument of sharded execution
+    /// rests on this signature.
     pub fn deliver<P: ControlPlane>(
         &self,
         node: &mut LsNode<P>,
@@ -125,75 +104,23 @@ impl DeliveryCtx<'_> {
         p: &Pending<P::Msg, P::Ext>,
         emitted: &mut Vec<Pending<P::Msg, P::Ext>>,
     ) -> LsEvent {
-        let mut records_digest = 0u64;
-        match &p.ev {
-            LsPayload::Start => {
-                records_digest = 1;
-                let mut out = Outbox::new();
-                node.snap.cp.on_start(&mut out);
-                self.dispatch(node, p.to, &p.ann, out, &mut 0, emitted);
+        let sends = node.snap.execute(p.ann.group, &p.ev);
+        for (emit, (to, payload)) in sends.into_iter().enumerate() {
+            let ann = self.shared.child_annotation(&p.ann, p.to, to, emit);
+            let send_idx = node.send_count;
+            node.send_count += 1;
+            if self.drops.contains(&(p.to, send_idx)) {
+                continue; // Replay the recorded loss.
             }
-            LsPayload::External(x) => {
-                records_digest = debug_digest(x);
-                let mut out = Outbox::new();
-                node.snap.cp.on_external(x, &mut out);
-                self.dispatch(node, p.to, &p.ann, out, &mut 0, emitted);
-            }
-            LsPayload::Msg(m) => {
-                records_digest = debug_digest(m);
-                let mut out = Outbox::new();
-                node.snap.cp.on_message(p.from, m, &mut out);
-                self.dispatch(node, p.to, &p.ann, out, &mut 0, emitted);
-            }
-            LsPayload::BeaconTick => {
-                node.snap.current_group = p.ann.group;
-                let mut emit = 0u32;
-                loop {
-                    let due = node.snap.take_due_timers(p.ann.group);
-                    if due.is_empty() {
-                        break;
-                    }
-                    for token in due {
-                        let mut out = Outbox::new();
-                        node.snap.cp.on_timer(token, &mut out);
-                        self.dispatch(node, p.to, &p.ann, out, &mut emit, emitted);
-                    }
-                }
-            }
+            emitted.push(Pending { to, ann, ev: Event::Msg { from: p.to, payload } });
         }
         let record = CommitRecord {
-            key: p.ann.key(self.ordering),
+            key: p.ann.key(self.shared.cfg.ordering),
             ann: p.ann,
-            payload_digest: records_digest,
+            payload_digest: p.ev.payload_digest(),
         };
         log.push(record);
         LsEvent { node: p.to, group: self.group, chain: self.chain, record }
-    }
-
-    /// Applies one handler invocation's buffered effects: timer ops on the
-    /// node, then each send annotated, counted against the node's committed
-    /// send index (replaying recorded losses), and staged into `emitted`.
-    fn dispatch<P: ControlPlane>(
-        &self,
-        node: &mut LsNode<P>,
-        me: NodeId,
-        parent: &Annotation,
-        out: Outbox<P::Msg>,
-        emit: &mut u32,
-        emitted: &mut Vec<Pending<P::Msg, P::Ext>>,
-    ) {
-        node.snap.apply_timer_ops(&out.arms, &out.cancels);
-        for (to, payload) in out.sends {
-            let link = self.link_est[me.index()].get(&to).copied().unwrap_or(1);
-            let ann = Annotation::child(parent, me, link, *emit, self.chain_bound);
-            *emit += 1;
-            let send_idx = node.send_count;
-            node.send_count += 1;
-            if self.drops.contains(&(me, send_idx)) {
-                continue; // Replay the recorded loss.
-            }
-            emitted.push(Pending { to, from: me, ann, ev: LsPayload::Msg(payload) });
-        }
     }
 }
 
@@ -206,30 +133,6 @@ pub struct WaveOutput<M, X> {
     pub delivered: usize,
     /// Messages materialised by the wave's handlers.
     pub emitted: Vec<Pending<M, X>>,
-}
-
-/// How a [`LockstepNet`] executes one staged wave of deliveries.
-///
-/// The contract an implementation must keep for Theorem 1 to survive
-/// sharding: each node receives exactly the wave's deliveries addressed to
-/// it that pass [`DeliveryCtx::allows`], in wave order; each delivery goes
-/// through [`DeliveryCtx::deliver`] against that node's own state and log;
-/// and every emitted message is returned (order among them is free — the
-/// caller re-sorts).
-///
-/// [`LockstepNet`]: crate::ls::LockstepNet
-pub trait WaveEngine<P: ControlPlane>: Send + Sync {
-    /// The worker-shard count this engine runs, for display and planning.
-    fn shards(&self) -> usize;
-
-    /// Executes one wave against the whole network.
-    fn execute(
-        &self,
-        ctx: &DeliveryCtx<'_>,
-        nodes: &mut [LsNode<P>],
-        logs: &mut [Vec<CommitRecord>],
-        wave: &[Pending<P::Msg, P::Ext>],
-    ) -> WaveOutput<P::Msg, P::Ext>;
 }
 
 /// Below this many staged deliveries per shard a wave runs inline: spawning
@@ -264,14 +167,21 @@ impl ShardedWaves {
         self.min_wave_per_shard = min;
         self
     }
-}
 
-impl<P: ControlPlane> WaveEngine<P> for ShardedWaves {
-    fn shards(&self) -> usize {
+    /// The worker-shard count this engine runs, for display and planning.
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
-    fn execute(
+    /// Executes one wave against the whole network.
+    ///
+    /// The contract that lets Theorem 1 survive sharding: each node
+    /// receives exactly the wave's deliveries addressed to it that pass
+    /// [`DeliveryCtx::allows`], in wave order; each delivery goes through
+    /// [`DeliveryCtx::deliver`] against that node's own state and log; and
+    /// every emitted message is returned (order among them is free — the
+    /// caller re-sorts).
+    pub fn execute<P: ControlPlane>(
         &self,
         ctx: &DeliveryCtx<'_>,
         nodes: &mut [LsNode<P>],

@@ -8,7 +8,7 @@
 //! checkpointed through the page-diff snapshot store (reverse execution).
 
 use netsim::NodeId;
-use routing::enc::{put_u16, put_u32, put_u64, put_u8, Reader};
+use routing::enc::{put_u32, put_u64, put_u8, Reader};
 use routing::{bgp, ospf, rip};
 
 /// A self-delimiting binary codec.
@@ -37,20 +37,10 @@ impl Wire for u64 {
 
 impl Wire for bgp::PathAttrs {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.route_id);
-        put_u8(buf, self.as_path_len);
-        put_u16(buf, self.neighbor_as);
-        put_u32(buf, self.med);
-        put_u32(buf, self.igp_dist);
+        bgp::put_attrs(buf, self);
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(bgp::PathAttrs {
-            route_id: r.u32()?,
-            as_path_len: r.u8()?,
-            neighbor_as: r.u16()?,
-            med: r.u32()?,
-            igp_dist: r.u32()?,
-        })
+        bgp::get_attrs(r)
     }
 }
 
@@ -92,34 +82,12 @@ impl Wire for rip::RipExt {
     }
 }
 
-impl Wire for NodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(NodeId(r.u32()?))
-    }
-}
-
 impl Wire for ospf::Lsa {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.origin.0);
-        put_u64(buf, self.seq);
-        put_u64(buf, self.links.len() as u64);
-        for &(peer, cost) in &self.links {
-            put_u32(buf, peer.0);
-            put_u64(buf, cost);
-        }
+        ospf::put_lsa(buf, self);
     }
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let origin = NodeId(r.u32()?);
-        let seq = r.u64()?;
-        let n = r.len()?;
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
-            links.push((NodeId(r.u32()?), r.u64()?));
-        }
-        Some(ospf::Lsa { origin, seq, links })
+        ospf::get_lsa(r)
     }
 }
 
@@ -206,7 +174,6 @@ mod tests {
     fn primitives() {
         round_trip(());
         round_trip(77u64);
-        round_trip(NodeId(12));
     }
 
     #[test]

@@ -116,8 +116,7 @@ mod tests {
             crate::enc::put_u32(buf, self.echoes);
             crate::enc::put_u32(buf, self.timer_fires);
         }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            let mut r = crate::enc::Reader::new(bytes);
+        fn decode_from(r: &mut crate::enc::Reader<'_>) -> Option<Self> {
             Some(Toy { echoes: r.u32()?, timer_fires: r.u32()? })
         }
     }
@@ -169,8 +168,7 @@ mod tests {
             fn encode(&self, buf: &mut Vec<u8>) {
                 crate::enc::put_u32(buf, self.fires);
             }
-            fn decode(bytes: &[u8]) -> Option<Self> {
-                let mut r = crate::enc::Reader::new(bytes);
+            fn decode_from(r: &mut crate::enc::Reader<'_>) -> Option<Self> {
                 Some(Rearm { fires: r.u32()? })
             }
         }

@@ -486,7 +486,10 @@ impl ControlPlane for BgpProcess {
     }
 }
 
-fn put_attrs(buf: &mut Vec<u8>, p: &PathAttrs) {
+/// Appends a path's attributes — the one definition of their byte layout,
+/// shared by the state codec below and the message wire codec.
+#[inline] // runs per path inside the state codec's loops, as it did when private
+pub fn put_attrs(buf: &mut Vec<u8>, p: &PathAttrs) {
     put_u32(buf, p.route_id);
     put_u8(buf, p.as_path_len);
     put_u16(buf, p.neighbor_as);
@@ -494,7 +497,8 @@ fn put_attrs(buf: &mut Vec<u8>, p: &PathAttrs) {
     put_u32(buf, p.igp_dist);
 }
 
-fn get_attrs(r: &mut Reader<'_>) -> Option<PathAttrs> {
+/// Reads what [`put_attrs`] wrote.
+pub fn get_attrs(r: &mut Reader<'_>) -> Option<PathAttrs> {
     Some(PathAttrs {
         route_id: r.u32()?,
         as_path_len: r.u8()?,
@@ -554,8 +558,7 @@ impl Snapshotable for BgpProcess {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let id = NodeId(r.u32()?);
         let role = match r.u8()? {
             0 => Role::External { border: NodeId(r.u32()?) },
@@ -582,7 +585,7 @@ impl Snapshotable for BgpProcess {
             let n = r.len()?;
             let mut list = Vec::with_capacity(n);
             for _ in 0..n {
-                list.push(get_attrs(&mut r)?);
+                list.push(get_attrs(r)?);
             }
             rib_in.insert(prefix, list);
         }
@@ -590,7 +593,7 @@ impl Snapshotable for BgpProcess {
         let mut best = BTreeMap::new();
         for _ in 0..n_best {
             let prefix = r.u32()?;
-            best.insert(prefix, get_attrs(&mut r)?);
+            best.insert(prefix, get_attrs(r)?);
         }
         let damping = match r.u8()? {
             0 => None,

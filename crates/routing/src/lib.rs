@@ -28,13 +28,11 @@
 
 mod adapter;
 pub mod bgp;
-pub mod enc;
 pub mod ospf;
 pub mod rip;
 
 pub use adapter::NativeAdapter;
-pub use checkpoint::Snapshotable;
-pub use enc::fnv1a;
+pub use checkpoint::{enc, fnv1a, Snapshotable};
 
 use netsim::NodeId;
 use std::fmt;

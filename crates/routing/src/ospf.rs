@@ -399,7 +399,10 @@ impl ControlPlane for OspfProcess {
     }
 }
 
-fn put_lsa(buf: &mut Vec<u8>, lsa: &Lsa) {
+/// Appends an LSA — the one definition of its byte layout, shared by the
+/// state codec below and the message wire codec.
+#[inline] // runs per LSA inside the state codec's loops, as it did when private
+pub fn put_lsa(buf: &mut Vec<u8>, lsa: &Lsa) {
     put_u32(buf, lsa.origin.0);
     put_u64(buf, lsa.seq);
     put_u64(buf, lsa.links.len() as u64);
@@ -409,7 +412,8 @@ fn put_lsa(buf: &mut Vec<u8>, lsa: &Lsa) {
     }
 }
 
-fn get_lsa(r: &mut Reader<'_>) -> Option<Lsa> {
+/// Reads what [`put_lsa`] wrote.
+pub fn get_lsa(r: &mut Reader<'_>) -> Option<Lsa> {
     let origin = NodeId(r.u32()?);
     let seq = r.u64()?;
     let n = r.len()?;
@@ -473,8 +477,7 @@ impl Snapshotable for OspfProcess {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let id = NodeId(r.u32()?);
         let cfg = OspfConfig {
             n_nodes: r.u64()? as usize,
@@ -502,21 +505,21 @@ impl Snapshotable for OspfProcess {
         let n_lsdb = r.len()?;
         let mut lsdb = BTreeMap::new();
         for _ in 0..n_lsdb {
-            let lsa = get_lsa(&mut r)?;
+            let lsa = get_lsa(r)?;
             lsdb.insert(lsa.origin, lsa);
         }
         let n_pending = r.len()?;
         let mut pending_flood = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             let ex = NodeId(r.u32()?);
-            let lsa = get_lsa(&mut r)?;
+            let lsa = get_lsa(r)?;
             pending_flood.push((ex, lsa));
         }
         let n_unacked = r.len()?;
         let mut unacked = BTreeMap::new();
         for _ in 0..n_unacked {
             let p = NodeId(r.u32()?);
-            let lsa = get_lsa(&mut r)?;
+            let lsa = get_lsa(r)?;
             unacked.insert((p, lsa.origin), lsa);
         }
         let n_table = r.len()?;

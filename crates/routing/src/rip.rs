@@ -308,8 +308,7 @@ impl Snapshotable for RipProcess {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let id = NodeId(r.u32()?);
         let cfg = RipConfig {
             update_ticks: r.u64()?,

@@ -640,6 +640,12 @@ impl Scenario {
         salts: u64,
         farm: &FarmConfig,
     ) -> Result<ExploreReport, ScenarioError> {
+        if salts > MAX_EXPLORE_SALTS {
+            return Err(ScenarioError::Invalid(format!(
+                "explore sweeps at most {MAX_EXPLORE_SALTS} salts (each is one full replay), \
+                 asked for {salts}"
+            )));
+        }
         let g = self.checked_build()?;
         self.require_probe()?;
         with_protocol!(self, &g, |procs| self.explore_typed(&g, procs, bytes, salts, farm))
@@ -796,6 +802,11 @@ impl Scenario {
         })
     }
 }
+
+/// Most salts one [`Scenario::explore_run`] sweeps. Each salt is one full
+/// replay and one result slot, so the cap excludes no sweep that could
+/// finish; it keeps a hostile count from sizing an allocation.
+pub const MAX_EXPLORE_SALTS: u64 = 1 << 20;
 
 /// What an ordering sweep over a scenario's recording found.
 #[derive(Clone, Debug)]

@@ -4,10 +4,11 @@
 //! (generated from the [`VERBS`] table): `record`, `debug`, `replay`,
 //! `explore`, `bisect`, `verify`, `check-profile`, `scenarios`.
 //!
-//! `record`, `debug`, `replay`, `explore`, and `bisect` additionally accept
-//! `--ckpt-interval <n>|auto`, overriding the scenario's checkpoint-capture
-//! policy: capture before every n-th delivery, or adapt the interval to the
-//! observed rollback churn (DESIGN.md §13). Like `--seed`, the policy is
+//! `record`, `explore`, and `bisect` — the verbs that run production
+//! in-process — additionally accept `--ckpt-interval <n>|auto`, overriding
+//! the scenario's checkpoint-capture policy: capture before every n-th
+//! delivery, or adapt the interval to the observed rollback churn
+//! (DESIGN.md §13). Like `--seed`, the policy is
 //! sweepable — the committed execution never depends on it — and the
 //! effective policy is echoed in the `gvt:` line.
 //!
@@ -224,13 +225,13 @@ const VERBS: &[Verb] = &[
     Verb {
         name: "debug",
         positionals: &["<scenario>", "<recording-file>", "[script-file]"],
-        flags: &[CKPT, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        flags: &[SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
         run: debug,
     },
     Verb {
         name: "replay",
         positionals: &["<scenario>", "<recording-file>"],
-        flags: &[CKPT, SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
+        flags: &[SHARDS, PROFILE, PROFILE_JSON, TRACE_OUT],
         run: replay,
     },
     Verb {

@@ -7,6 +7,7 @@
 //! the page-diffing `MemIntercept`) must agree with it under arbitrary
 //! interleavings of checkpoint / mutate / restore / truncate / release.
 
+use defined::checkpoint::enc::Reader;
 use defined::checkpoint::{Checkpointer, Snapshotable, Strategy as CkptStrategy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -25,12 +26,11 @@ impl Snapshotable for Table {
             buf.extend_from_slice(&c.to_le_bytes());
         }
     }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let n = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.len()?;
         let mut cells = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 8 + i * 8;
-            cells.push(u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?));
+        for _ in 0..n {
+            cells.push(r.u64()?);
         }
         Some(Table { cells })
     }

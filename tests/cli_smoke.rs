@@ -341,12 +341,26 @@ fn bad_usage_exits_nonzero() {
         // --out belongs to record; --scenario belongs to verify.
         &["debug", "bgp-med", "/tmp/x", "--out", "/tmp/y"][..],
         &["record", "bgp-med", "/tmp/x", "--scenario", "bgp-med"][..],
+        // --ckpt-interval belongs to the verbs that run production; no
+        // replay path reads the capture policy.
+        &["replay", "bgp-med", "/tmp/x", "--ckpt-interval", "4"][..],
+        // A salt count no sweep could finish is refused before anything is
+        // sized by it (these used to die on `capacity overflow` and on a
+        // failed 80 PB allocation).
+        &["explore", "rip-blackhole", "--salts", "18446744073709551615"][..],
+        &["explore", "rip-blackhole", "--salts", "9999999999999999"][..],
     ] {
         let out = defined_dbg().args(args).output().expect("spawns");
-        assert!(
-            !out.status.success(),
-            "defined-dbg {args:?} unexpectedly succeeded:\n{}",
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "defined-dbg {args:?} must fail as a usage or typed error:\n{}\n{stderr}",
             String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("allocation"),
+            "defined-dbg {args:?} died instead of reporting:\n{stderr}"
         );
     }
 }

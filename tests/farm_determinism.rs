@@ -2,14 +2,14 @@
 //! the serial ones, for every worker count, on all three protocols.
 //!
 //! The replay farm's whole contract is that `jobs` (and the seeding
-//! checkpoints) change only *cost*: a parallel `explore_orderings` must
-//! return the identical `(salt, final state)` — the earliest match in the
+//! checkpoints) change only *cost*: a parallel `ordering_survey` must
+//! yield the identical `(salt, final state)` — the earliest match in the
 //! salt sequence, not the first to finish — and parallel bisection the
 //! identical `BisectReport`, across jobs ∈ {1, 2, 8}. The salt set itself
 //! is property-swept so the equivalence is not an artifact of one sweep.
 
 use defined::core::bisect::{first_bad_event, first_bad_group, BisectReport};
-use defined::core::explore::{explore_orderings, ordering_survey};
+use defined::core::explore::ordering_survey;
 use defined::core::ls::LockstepNet;
 use defined::core::order::debug_digest;
 use defined::core::{DefinedConfig, FarmConfig};
@@ -52,25 +52,28 @@ fn check_invariance<P, S, F, B>(
 {
     let cfg = DefinedConfig::default();
     let serial = FarmConfig::serial();
+    // One sweep answers both questions: the earliest salt satisfying the
+    // predicate with its final execution, and how many of the salts do.
     let explore = |farm: &FarmConfig| {
-        explore_orderings(g, &cfg, rec, spawn, salts.iter().copied(), predicate, farm)
-            .map(|(salt, ls)| (salt, debug_digest(&ls.logs())))
+        let project = |ls: &LockstepNet<P>| predicate(ls).then(|| debug_digest(&ls.logs()));
+        let hits: Vec<Option<u64>> =
+            ordering_survey(g, &cfg, rec, spawn, salts.iter().copied(), project, farm)
+                .into_iter()
+                .map(|h| h.expect("no probe panics"))
+                .collect();
+        let earliest = hits.iter().position(Option::is_some).map(|i| (salts[i], hits[i]));
+        (earliest, (hits.iter().flatten().count(), hits.len()))
     };
-    // How many of the salts satisfy the predicate, out of how many.
-    let sensitivity = |farm: &FarmConfig| {
-        let hits = ordering_survey(g, &cfg, rec, spawn, salts.iter().copied(), predicate, farm);
-        (hits.iter().filter(|h| *h.as_ref().expect("no probe panics")).count(), hits.len())
-    };
-    let reference: Option<(u64, u64)> = explore(&serial);
-    let ref_sense = sensitivity(&serial);
+    let (reference, ref_sense) = explore(&serial);
     let ref_bisect: Option<BisectReport> = first_bad_group(g, &cfg, rec, spawn, bad, &serial);
     let ref_event = ref_bisect.and_then(|r| {
         first_bad_event(g, &cfg, rec, spawn, r.first_bad_group, bad, &serial).map(|(ev, _)| ev)
     });
     for jobs in JOBS {
         let farm = FarmConfig { jobs, speculation: 1, ..FarmConfig::serial() };
-        assert_eq!(explore(&farm), reference, "{what}: explore result varies at jobs={jobs}");
-        assert_eq!(sensitivity(&farm), ref_sense, "{what}: sensitivity varies at jobs={jobs}");
+        let (earliest, sense) = explore(&farm);
+        assert_eq!(earliest, reference, "{what}: explore result varies at jobs={jobs}");
+        assert_eq!(sense, ref_sense, "{what}: sensitivity varies at jobs={jobs}");
         assert_eq!(
             first_bad_group(g, &cfg, rec, spawn, bad, &farm),
             ref_bisect,

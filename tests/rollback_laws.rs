@@ -5,9 +5,11 @@
 //! kept, jump where it should have re-executed. Commit logs cannot see
 //! that — Theorem 1 holds either way — but the shim's own counters can,
 //! and for a fixed scenario and seed they are exact. The jump decision
-//! itself rests on one law of [`Snapshotable::encode_primary`], held here
-//! over states harvested from running networks.
+//! itself rests on one law of [`Snapshotable::encode_primary`], and every
+//! restore on the codec law of [`Snapshotable::decode_from`]; both are held
+//! here over states harvested from running networks.
 
+use defined::checkpoint::enc::Reader;
 use defined::checkpoint::Snapshotable;
 use defined::core::config::CapturePolicy;
 use defined::core::snapshot::NodeSnapshot;
@@ -59,6 +61,39 @@ fn assert_primary_decides_encoding<S: Snapshotable>(what: &str, states: &[S]) {
     assert!(equal > 0 && distinct > 0, "{what}: {equal} equal pairs, {distinct} distinct");
 }
 
+/// The codec law composite states decode by: `decode_from` consumes
+/// exactly the bytes `encode` wrote — whatever follows them is left
+/// unread — and gives back the encoded state (held on re-encoded bytes:
+/// not every state is `PartialEq`); `decode` is that over a whole buffer.
+fn assert_codec_composes<S: Snapshotable>(what: &str, states: &[S]) {
+    const TAIL: &[u8] = b"\x00\xff the next part of a composite";
+    for (i, state) in states.iter().enumerate() {
+        let mut buf = Vec::new();
+        state.encode(&mut buf);
+        let reencoded = |s: S| {
+            let mut again = Vec::new();
+            s.encode(&mut again);
+            again
+        };
+        let whole = S::decode(&buf).unwrap_or_else(|| panic!("{what}: state {i} decodes"));
+        assert_eq!(reencoded(whole), buf, "{what}: state {i} round trip");
+        let len = buf.len();
+        buf.extend_from_slice(TAIL);
+        let mut r = Reader::new(&buf);
+        let part = S::decode_from(&mut r).unwrap_or_else(|| panic!("{what}: state {i} + tail"));
+        assert_eq!(r.remaining(), TAIL.len(), "{what}: state {i} left exactly the tail unread");
+        assert_eq!(reencoded(part), buf[..len], "{what}: state {i} decoded beside a tail");
+    }
+}
+
+/// Both laws, over one harvest.
+fn assert_state_laws<S: Snapshotable>(what: &str, states: &[S]) {
+    assert_primary_decides_encoding(what, states);
+    assert_codec_composes(what, states);
+}
+
+/// One harvest per protocol, and the composite the shim probes, held to
+/// both state laws.
 #[test]
 fn primary_bytes_decide_the_full_encoding() {
     let ms = SimDuration::from_millis;
@@ -70,14 +105,14 @@ fn primary_bytes_decide_the_full_encoding() {
     let mut net = RbNetwork::new(&g, cfg(), 3, 0.5, move |id| procs[id.index()].clone());
     net.schedule_link(SimTime::from_millis(2100), NodeId(0), NodeId(1), false);
     let ospf = harvest(net, 7, 8);
-    assert_primary_decides_encoding("ospf", &ospf);
+    assert_state_laws("ospf", &ospf);
 
     let g = canonical::grid(3, 3, ms(3));
     let procs = scenario::rip_processes(&g, RefreshMode::DestinationAndNextHop);
     let mut net = RbNetwork::new(&g, cfg(), 4, 0.5, move |id| procs[id.index()].clone());
     net.inject_external(SimTime::from_millis(100), NodeId(8), RipExt::Connect { prefix: 7 });
     net.schedule_link(SimTime::from_millis(4100), NodeId(7), NodeId(8), false);
-    assert_primary_decides_encoding("rip", &harvest(net, 50, 12));
+    assert_state_laws("rip", &harvest(net, 50, 12));
 
     let topo = TopologySpec::Fig4Bgp { internal: ms(8), external: ms(12) };
     let roles = topo.fig4_roles().expect("fig4");
@@ -94,7 +129,7 @@ fn primary_bytes_decide_the_full_encoding() {
         let at = SimTime::from_millis(600 + 700 * i as u64);
         net.inject_external(at, er, BgpExt::Announce { prefix: 9, attrs });
     }
-    assert_primary_decides_encoding("bgp", &harvest(net, 10, 4));
+    assert_state_laws("bgp", &harvest(net, 10, 4));
 
     // The composite the shim probes: the same control planes under shim
     // contexts that differ in group, timer wheel, or nothing.
@@ -112,7 +147,7 @@ fn primary_bytes_decide_the_full_encoding() {
             [plain, later, armed, rearmed]
         })
         .collect();
-    assert_primary_decides_encoding("node snapshot", &snaps);
+    assert_state_laws("node snapshot", &snaps);
 }
 
 /// RIP on a 4×4 grid, three prefixes, three link flaps: the registry's RIP
