@@ -527,7 +527,7 @@ pub fn fig8d(scale: Scale) -> FigureData {
         let deadline = burst_end + SimDuration::from_secs(30);
         let mut converged_at = None;
         let mut checks = 0u32;
-        while net.sim_mut().step_until(deadline).is_some() {
+        while net.sim_mut().step_until(deadline) {
             checks += 1;
             if !checks.is_multiple_of(8) {
                 continue;

@@ -61,8 +61,8 @@ impl OspfRunner {
 
     fn step(&mut self, deadline: SimTime) -> bool {
         match self {
-            OspfRunner::Baseline(s) => s.step_until(deadline).is_some(),
-            OspfRunner::Rb(n) => n.sim_mut().step_until(deadline).is_some(),
+            OspfRunner::Baseline(s) => s.step_until(deadline),
+            OspfRunner::Rb(n) => n.sim_mut().step_until(deadline),
         }
     }
 

@@ -129,8 +129,6 @@ pub struct DefinedConfig {
     /// recording will be extracted). The paper sizes this as twice the
     /// maximum propagation time, estimated as mean + 4σ (§2.2).
     pub commit_horizon: Option<SimDuration>,
-    /// Whether simulated checkpoint overhead delays outgoing messages.
-    pub charge_overhead: bool,
 }
 
 impl Default for DefinedConfig {
@@ -144,7 +142,6 @@ impl Default for DefinedConfig {
             cost: CostModel::default(),
             capture: CapturePolicy::Every(1),
             commit_horizon: None,
-            charge_overhead: true,
         }
     }
 }
@@ -166,11 +163,6 @@ impl DefinedConfig {
     pub fn recording() -> Self {
         DefinedConfig::default()
     }
-
-    /// Virtual-time ticks per second under this beacon interval.
-    pub fn ticks_per_second(&self) -> f64 {
-        1.0 / self.beacon_interval.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +173,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = DefinedConfig::default();
         assert_eq!(c.beacon_interval, SimDuration::from_millis(250));
-        assert_eq!(c.ticks_per_second(), 4.0);
         assert_eq!(c.ordering, OrderingMode::Optimized);
         assert_eq!(c.capture, CapturePolicy::Every(1));
     }

@@ -38,14 +38,6 @@ pub struct RbMetrics {
 }
 
 impl RbMetrics {
-    /// Control-plane packet total attributable to DEFINED: anti-messages
-    /// plus speculative re-sends are already inside `app_msgs_sent`; this
-    /// returns the unsend traffic alone, which is what Fig. 6a's per-node
-    /// overhead tail is made of.
-    pub fn control_overhead(&self) -> u64 {
-        self.unsend_msgs
-    }
-
     /// Folds another node's counters into an aggregate.
     pub fn absorb(&mut self, other: &RbMetrics) {
         self.app_msgs_sent += other.app_msgs_sent;
@@ -76,6 +68,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.rollbacks, 5);
         assert_eq!(a.max_history, 9);
-        assert_eq!(a.control_overhead(), 4);
+        assert_eq!(a.unsend_msgs, 4);
     }
 }

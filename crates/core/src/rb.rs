@@ -549,25 +549,19 @@ impl<P: ControlPlane> RbShim<P> {
                     dirty_pages: stats.last_dirty_pages,
                 });
             }
-            if self.shared.cfg.charge_overhead {
-                let ns = match self.shared.cfg.strategy {
-                    // MI copies only pool-fresh pages; already-pooled dirty
-                    // pages are priced as dedup hits, matching what the
-                    // store's `bytes_stored` records.
-                    checkpoint::Strategy::MemIntercept => self.shared.cfg.cost.capture_ns(
-                        self.shared.cfg.fork_timing,
-                        stats.last_dirty_pages,
-                        stats.last_fresh_pages,
-                    ),
-                    _ => self.shared.cfg.cost.checkpoint_ns(
-                        self.shared.cfg.fork_timing,
-                        bytes,
-                        None,
-                    ),
-                };
-                self.pending_overhead += SimDuration::from_nanos(ns);
-                self.metrics.overhead_ns += ns;
-            }
+            let ns = match self.shared.cfg.strategy {
+                // MI copies only pool-fresh pages; already-pooled dirty
+                // pages are priced as dedup hits, matching what the
+                // store's `bytes_stored` records.
+                checkpoint::Strategy::MemIntercept => self.shared.cfg.cost.capture_ns(
+                    self.shared.cfg.fork_timing,
+                    stats.last_dirty_pages,
+                    stats.last_fresh_pages,
+                ),
+                _ => self.shared.cfg.cost.checkpoint_ns(self.shared.cfg.fork_timing, bytes, None),
+            };
+            self.pending_overhead += SimDuration::from_nanos(ns);
+            self.metrics.overhead_ns += ns;
         }
         self.deliveries_since_ckpt += 1;
         self.adapt_window += 1;
@@ -586,11 +580,7 @@ impl<P: ControlPlane> RbShim<P> {
         entry: &mut Entry<P::Msg, P::Ext>,
     ) {
         let out = self.snap.execute(entry.ann.group, &entry.ev);
-        let extra = if self.shared.cfg.charge_overhead {
-            self.pending_overhead
-        } else {
-            SimDuration::ZERO
-        };
+        let extra = self.pending_overhead;
         let mut recs = std::mem::take(&mut entry.sends);
         let emitted = out.len();
         for (emit, (to, payload)) in out.into_iter().enumerate() {
@@ -753,15 +743,13 @@ impl<P: ControlPlane> RbShim<P> {
                 replayed,
             });
         }
-        if self.shared.cfg.charge_overhead {
-            let dirty = match self.shared.cfg.strategy {
-                checkpoint::Strategy::MemIntercept => Some(stats.last_dirty_pages.max(1)),
-                _ => None,
-            };
-            let ns = self.shared.cfg.cost.rollback_ns(bytes, dirty, replayed, 20_000);
-            self.pending_overhead += SimDuration::from_nanos(ns);
-            self.metrics.overhead_ns += ns;
-        }
+        let dirty = match self.shared.cfg.strategy {
+            checkpoint::Strategy::MemIntercept => Some(stats.last_dirty_pages.max(1)),
+            _ => None,
+        };
+        let ns = self.shared.cfg.cost.rollback_ns(bytes, dirty, replayed, 20_000);
+        self.pending_overhead += SimDuration::from_nanos(ns);
+        self.metrics.overhead_ns += ns;
         head
     }
 

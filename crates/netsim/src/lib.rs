@@ -1,10 +1,12 @@
 //! Deterministic discrete-event network simulator.
 //!
-//! `netsim` is the testbed substrate for the DEFINED reproduction. The paper
+//! `netsim` is the event pump under the DEFINED reproduction. The paper
 //! evaluated on Emulab with real routing daemons; here, a discrete-event
 //! simulation provides the same degrees of freedom DEFINED cares about —
 //! message orderings, delays, jitter, losses, and failures — while staying
-//! fully reproducible from a seed.
+//! fully reproducible from a seed. It keeps no record of its own: DEFINED's
+//! partial recording is built from what the processes logged plus the
+//! payloads of dropped packets ([`Simulator::set_collect_drop_payloads`]).
 //!
 //! The central abstractions are:
 //!
@@ -14,7 +16,7 @@
 //! * [`Process`] — the state machine a node runs (a routing daemon, or the
 //!   DEFINED shim wrapping one).
 //! * [`Simulator`] — the event loop: links with delay/jitter/loss, timers,
-//!   failure injection, tracing, and per-node metrics.
+//!   failure injection, and per-node metrics.
 //!
 //! Nondeterminism enters *only* through the network RNG seed (link jitter and
 //! loss draws). Per-node process RNGs are seeded by node id, modelling the
@@ -64,13 +66,11 @@ mod process;
 mod rng;
 mod sim;
 mod time;
-mod trace;
 
 pub use event::QueueStats;
-pub use link::{ChannelMode, JitterModel, LinkKey, LinkParams, LossModel};
+pub use link::{JitterModel, LinkKey, LinkParams, LossModel};
 pub use metrics::{Metrics, NodeMetrics};
-pub use process::{Action, NodeId, Process, ProcessCtx, TimerId, TimerKey};
+pub use process::{NodeId, Process, ProcessCtx, TimerId, TimerKey};
 pub use rng::DetRng;
-pub use sim::{DropRecord, SimBuilder, Simulator, SteppedEvent};
+pub use sim::{SimBuilder, Simulator};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};

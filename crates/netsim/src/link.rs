@@ -23,11 +23,6 @@ pub enum JitterModel {
         /// Fraction of the base delay used as the jitter range.
         frac: f64,
     },
-    /// Truncated-normal jitter with `std = frac * base_delay`, clamped at 0.
-    Normal {
-        /// Fraction of the base delay used as the standard deviation.
-        frac: f64,
-    },
 }
 
 impl JitterModel {
@@ -39,15 +34,11 @@ impl JitterModel {
                 let max = base.as_secs_f64() * frac;
                 SimDuration::from_secs_f64(rng.gen_f64() * max)
             }
-            JitterModel::Normal { frac } => {
-                let std = base.as_secs_f64() * frac;
-                SimDuration::from_secs_f64(rng.gen_normal(0.0, std).max(0.0))
-            }
         }
     }
 }
 
-/// Packet loss model for datagram-mode links.
+/// Packet loss model of a link (control-channel sends are exempt).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LossModel {
     /// No losses.
@@ -59,18 +50,6 @@ pub enum LossModel {
     },
 }
 
-/// Delivery semantics of a link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChannelMode {
-    /// Independent per-packet delay draws; packets may reorder and be lost.
-    /// Models UDP/raw-IP control channels in the production network.
-    Datagram,
-    /// Reliable in-order delivery: no loss, and a packet is never delivered
-    /// before one sent earlier on the same directed link. Models the TCP
-    /// channels DEFINED-LS mandates (§2.3).
-    Fifo,
-}
-
 /// Static parameters of one directed link.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkParams {
@@ -78,20 +57,18 @@ pub struct LinkParams {
     pub delay: SimDuration,
     /// Per-packet jitter model.
     pub jitter: JitterModel,
-    /// Loss model (ignored in [`ChannelMode::Fifo`]).
+    /// Loss model.
     pub loss: LossModel,
-    /// Delivery semantics.
-    pub mode: ChannelMode,
 }
 
 impl LinkParams {
-    /// Datagram link with the given base delay and no jitter or loss.
+    /// Link with the given base delay and no jitter or loss. Packets draw
+    /// their delays independently, so they may reorder.
     pub fn with_delay(delay: SimDuration) -> Self {
         LinkParams {
             delay,
             jitter: JitterModel::None,
             loss: LossModel::None,
-            mode: ChannelMode::Datagram,
         }
     }
 
@@ -106,12 +83,6 @@ impl LinkParams {
         self.loss = loss;
         self
     }
-
-    /// Sets the channel mode.
-    pub fn mode(mut self, mode: ChannelMode) -> Self {
-        self.mode = mode;
-        self
-    }
 }
 
 /// Runtime state of a directed link.
@@ -120,20 +91,11 @@ pub(crate) struct Link {
     pub params: LinkParams,
     /// Administrative state; down links drop every packet.
     pub up: bool,
-    /// Packets sent on this link so far (drives per-link sequence numbers).
-    pub sent: u64,
-    /// For FIFO mode: the latest delivery time scheduled so far.
-    pub last_delivery: crate::time::SimTime,
 }
 
 impl Link {
     pub fn new(params: LinkParams) -> Self {
-        Link {
-            params,
-            up: true,
-            sent: 0,
-            last_delivery: crate::time::SimTime::ZERO,
-        }
+        Link { params, up: true }
     }
 }
 
@@ -159,22 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn normal_jitter_non_negative() {
-        let mut rng = DetRng::new(4);
-        let base = SimDuration::from_millis(10);
-        for _ in 0..1000 {
-            let j = JitterModel::Normal { frac: 0.3 }.sample(base, &mut rng);
-            assert!(j.as_secs_f64() >= 0.0);
-        }
-    }
-
-    #[test]
     fn builder_chains() {
         let p = LinkParams::with_delay(SimDuration::from_millis(2))
             .jitter(JitterModel::Uniform { frac: 0.1 })
-            .loss(LossModel::Bernoulli { p: 0.01 })
-            .mode(ChannelMode::Fifo);
-        assert_eq!(p.mode, ChannelMode::Fifo);
+            .loss(LossModel::Bernoulli { p: 0.01 });
+        assert_eq!(p.loss, LossModel::Bernoulli { p: 0.01 });
         assert_eq!(p.delay, SimDuration::from_millis(2));
     }
 }

@@ -42,7 +42,7 @@ pub struct TimerKey(pub u64);
 /// An action emitted by a process handler, applied by the simulator after the
 /// handler returns.
 #[derive(Debug)]
-pub enum Action<M> {
+pub(crate) enum Action<M> {
     /// Send `msg` to node `to` over the connecting link.
     Send {
         /// Destination node.
@@ -75,7 +75,7 @@ pub enum Action<M> {
 /// Context handed to every [`Process`] handler.
 ///
 /// Reads (time, identity, neighbours, RNG) happen directly; writes (sends,
-/// timer operations) are buffered as [`Action`]s and applied by the simulator
+/// timer operations) are buffered as actions and applied by the simulator
 /// once the handler returns, which keeps handlers free of borrow gymnastics
 /// and makes the emitted action list observable in tests.
 pub struct ProcessCtx<'a, M> {
@@ -154,11 +154,6 @@ impl<'a, M> ProcessCtx<'a, M> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.actions.push(Action::CancelTimer(id));
     }
-
-    /// Number of actions buffered so far (useful in tests).
-    pub fn pending_actions(&self) -> usize {
-        self.actions.len()
-    }
 }
 
 /// A node-local state machine driven by the simulator.
@@ -219,7 +214,7 @@ mod tests {
         ctx.send(NodeId(1), "a");
         let t = ctx.set_timer(SimDuration::from_millis(10), TimerKey(7));
         ctx.cancel_timer(t);
-        assert_eq!(ctx.pending_actions(), 3);
+        assert_eq!(ctx.actions.len(), 3);
         match &ctx.actions[0] {
             Action::Send { to, msg, extra_delay, control } => {
                 assert_eq!(*to, NodeId(1));

@@ -132,14 +132,6 @@ impl DetRng {
         let u = (1.0 - self.gen_f64()).max(1e-300);
         xm / u.powf(1.0 / alpha)
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,16 +201,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.gen_exp(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.05, "mean was {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::new(17);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the instant as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating difference between two instants.
     pub fn saturating_sub(self, other: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -96,16 +91,6 @@ impl SimDuration {
     /// Returns the duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// Multiplies the duration by a fraction, rounding to nanoseconds.
-    pub fn mul_f64(self, f: f64) -> Self {
-        SimDuration::from_secs_f64(self.as_secs_f64() * f)
     }
 
     /// Saturating difference between two durations.
@@ -213,7 +198,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).0, 3_000_000);
         assert_eq!(SimTime::from_micros(5).0, 5_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimDuration::from_millis(250).as_millis_f64(), 250.0);
     }
 
     #[test]
@@ -270,6 +254,5 @@ mod tests {
     fn from_secs_f64_clamps_and_rounds() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(0.001), SimDuration::from_millis(1));
-        assert_eq!(SimDuration::from_millis(10).mul_f64(0.5), SimDuration::from_millis(5));
     }
 }

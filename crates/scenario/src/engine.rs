@@ -341,6 +341,13 @@ impl Scenario {
                     if *count == 0 {
                         return err("a flap needs at least one cycle".into());
                     }
+                    if *count > MAX_FLAP_CYCLES {
+                        return err(format!("a flap runs at most {MAX_FLAP_CYCLES} cycles, not {count}"));
+                    }
+                    let last = start + *period * (u64::from(*count) - 1);
+                    if last > end {
+                        return err(format!("a flap's last cycle at {last} lands after the {end} run"));
+                    }
                 }
                 Fault::Partition { side, heal, at } => {
                     let unique: std::collections::BTreeSet<NodeId> = side.iter().copied().collect();
@@ -808,6 +815,11 @@ impl Scenario {
 /// finish; it keeps a hostile count from sizing an allocation.
 pub const MAX_EXPLORE_SALTS: u64 = 1 << 20;
 
+/// Most cycles one [`Fault::LinkFlap`] runs. Every cycle is queued as two
+/// events before the run starts, and a period may be 1 ns, so the cap
+/// keeps one `.scn` line from sizing the event queue.
+const MAX_FLAP_CYCLES: u32 = 1 << 16;
+
 /// What an ordering sweep over a scenario's recording found.
 #[derive(Clone, Debug)]
 pub struct ExploreReport {
@@ -1091,6 +1103,28 @@ mod tests {
             side: vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)],
         }];
         assert!(scn.validate().is_ok());
+
+        // A flap whose last cycle starts after the run end, and one whose
+        // count alone would size the event queue, are refused before either
+        // is scheduled; a flap whose last cycle starts at the end fits.
+        let flap = |period_ms: u64, count: u32| {
+            let mut scn = mini_ospf();
+            scn.faults = vec![Fault::LinkFlap {
+                at: SimTime::from_millis(1000),
+                a: NodeId(0),
+                b: NodeId(1),
+                down_for: SimDuration::from_nanos(1),
+                period: SimDuration::from_millis(period_ms),
+                count,
+            }];
+            scn
+        };
+        assert!(flap(500, 5).validate().is_ok(), "last cycle at exactly 3 s");
+        assert!(matches!(flap(500, 6).validate(), Err(ScenarioError::Invalid(_))));
+        assert!(matches!(flap(1, u32::MAX).validate(), Err(ScenarioError::Invalid(_))));
+        let mut scn = flap(1, MAX_FLAP_CYCLES + 1);
+        scn.duration = SimDuration::from_secs(100);
+        assert!(matches!(scn.validate(), Err(ScenarioError::Invalid(_))), "cap holds in time too");
     }
 
     #[test]

@@ -304,7 +304,8 @@ pub enum Fault {
         down_for: SimDuration,
         /// Cycle period (must exceed `down_for`).
         period: SimDuration,
-        /// Number of cycles.
+        /// Number of cycles; validation bounds it, and the last cycle must
+        /// start within the run.
         count: u32,
     },
     /// Bisection partition: every link with exactly one endpoint in `side`

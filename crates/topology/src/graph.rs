@@ -213,49 +213,13 @@ impl Graph {
         up.iter().all(|id| info.dist[id.index()].is_some())
     }
 
-    /// The largest shortest-path delay between any reachable pair
-    /// (the delay diameter), used to size DEFINED's history horizon.
-    pub fn delay_diameter(&self, mask: &TopoMask) -> SimDuration {
-        let mut max = SimDuration::ZERO;
-        for i in 0..self.n {
-            let src = NodeId(i as u32);
-            if mask.nodes_down.contains(&src) {
-                continue;
-            }
-            let info = self.shortest_paths(src, mask);
-            for d in info.dist.iter().flatten() {
-                if *d > max {
-                    max = *d;
-                }
-            }
-        }
-        max
-    }
-
-    /// Mean edge delay.
-    pub fn mean_delay(&self) -> SimDuration {
-        if self.edges.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: u64 = self.edges.iter().map(|e| e.delay.0).sum();
-        SimDuration(total / self.edges.len() as u64)
-    }
-
     /// Converts the graph into simulator link triples, applying `params_for`
-    /// to each edge (e.g. to attach jitter or channel mode).
+    /// to each edge (e.g. to attach jitter or loss).
     pub fn to_links(
         &self,
         mut params_for: impl FnMut(&GraphEdge) -> LinkParams,
     ) -> Vec<(NodeId, NodeId, LinkParams)> {
         self.edges.iter().map(|e| (e.a, e.b, params_for(e))).collect()
-    }
-
-    /// The full routing ground truth: `table[src][dst]` is the deterministic
-    /// first hop from `src` to `dst` under the mask.
-    pub fn ground_truth(&self, mask: &TopoMask) -> Vec<Vec<Option<NodeId>>> {
-        (0..self.n)
-            .map(|i| self.shortest_paths(NodeId(i as u32), mask).first_hop)
-            .collect()
     }
 }
 
@@ -327,28 +291,6 @@ mod tests {
         assert!(g.add_edge(NodeId(1), NodeId(0), ms(2)).is_none());
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge_delay(NodeId(0), NodeId(1)), Some(ms(1)));
-    }
-
-    #[test]
-    fn diameter_and_mean() {
-        let g = square();
-        assert_eq!(g.delay_diameter(&TopoMask::default()), ms(2));
-        assert_eq!(g.mean_delay(), SimDuration((4 * ms(1).0 + ms(5).0) / 5));
-    }
-
-    #[test]
-    fn ground_truth_covers_all_pairs() {
-        let g = square();
-        let gt = g.ground_truth(&TopoMask::default());
-        for (src, row) in gt.iter().enumerate() {
-            for (dst, hop) in row.iter().enumerate() {
-                if src == dst {
-                    assert!(hop.is_none());
-                } else {
-                    assert!(hop.is_some(), "{src}->{dst} missing");
-                }
-            }
-        }
     }
 
     #[test]

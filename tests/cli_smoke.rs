@@ -365,6 +365,32 @@ fn bad_usage_exits_nonzero() {
     }
 }
 
+/// A `.scn` flap is bounded before anything is queued for it: a count that
+/// would size the event queue, and a last cycle after the run end, are both
+/// typed errors.
+#[test]
+fn hostile_flap_counts_are_refused() {
+    let base = std::fs::read_to_string("scenarios/ring-loss.scn").expect("reads ring-loss.scn");
+    for (tag, flap) in [
+        ("flap-count", "fault 2s flap 0 1 1ns 2ns 4294967295"),
+        ("flap-late", "fault 2s flap 0 1 400ms 900ms 6"),
+    ] {
+        let scn = tmp_path(&format!("{tag}.scn"));
+        let rec = tmp_path(&format!("{tag}.rec"));
+        std::fs::write(&scn, base.replace("fault 2s flap 0 1 400ms 900ms 2", flap)).expect("writes");
+        let out = defined_dbg().arg("record").arg(&scn).arg(&rec).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flap} must be refused:\n{stderr}");
+        assert!(stderr.contains("defined-dbg:") && stderr.contains("flap"), "{flap}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("allocation"),
+            "{flap} died instead of reporting:\n{stderr}"
+        );
+        assert!(!rec.exists(), "{flap}: nothing recorded");
+        let _ = std::fs::remove_file(&scn);
+    }
+}
+
 #[test]
 fn registry_names_are_not_shadowed_by_cwd_files() {
     // A stray file in the working directory named after a registry scenario
