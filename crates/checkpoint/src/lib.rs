@@ -121,6 +121,16 @@ pub trait Snapshotable: Clone {
         self.encode(buf);
     }
 
+    /// Whether decoding this state's encoding would yield a state
+    /// indistinguishable from it, derived parts and `Debug` rendering
+    /// included. A state whose derived part is stale (a cache not yet
+    /// brought up to date) returns false: its encoding brings the cache up
+    /// to date, its live value does not. A rewind may keep a live state in
+    /// place of decoding an equal checkpointed one only when this holds.
+    fn is_canonical(&self) -> bool {
+        true
+    }
+
     /// A 64-bit digest of the encoded state.
     fn digest(&self) -> u64 {
         let mut buf = Vec::with_capacity(256);

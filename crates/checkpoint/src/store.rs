@@ -210,26 +210,50 @@ impl<S: Snapshotable> Checkpointer<S> {
     /// Reconstructs the state recorded under `id`.
     pub fn restore(&mut self, id: CheckpointId) -> Option<S> {
         let _span = obs::span!("ckpt.restore");
+        let mut buf = self.spare_bufs.pop().unwrap_or_default();
+        let out = match self.lookup(id) {
+            None => None,
+            Some(Stored::Clone(s)) => Some(s.clone()),
+            Some(Stored::Full(bytes)) => S::decode(bytes),
+            Some(Stored::Paged(img)) => {
+                img.write_bytes(&mut buf);
+                S::decode(&buf)
+            }
+        };
+        self.put_spare(buf);
+        out
+    }
+
+    /// Writes the encoding of the state recorded under `id` into `buf`
+    /// (cleared first) without decoding it — for a caller that decodes
+    /// only the parts it needs. Counts as a restore. Returns false for an
+    /// unknown id.
+    pub fn restore_bytes(&mut self, id: CheckpointId, buf: &mut Vec<u8>) -> bool {
+        let _span = obs::span!("ckpt.restore");
+        let Some(stored) = self.lookup(id) else { return false };
+        match stored {
+            Stored::Clone(s) => {
+                buf.clear();
+                s.encode(buf);
+            }
+            Stored::Full(bytes) => {
+                buf.clear();
+                buf.extend_from_slice(bytes);
+            }
+            Stored::Paged(img) => img.write_bytes(buf),
+        }
+        true
+    }
+
+    /// The entry recorded under `id`, counting the restore it serves.
+    fn lookup(&mut self, id: CheckpointId) -> Option<&Stored<S>> {
         obs::counter!("ckpt.restores").add(1);
         self.restores += 1;
         // Ids are pushed in increasing order; binary-search the deque.
         let slice = self.entries.make_contiguous();
         let pos = slice.partition_point(|(i, _)| *i < id);
         let (found, stored) = slice.get(pos)?;
-        if *found != id {
-            return None;
-        }
-        match stored {
-            Stored::Clone(s) => Some(s.clone()),
-            Stored::Full(bytes) => S::decode(bytes),
-            Stored::Paged(img) => {
-                let mut buf = self.spare_bufs.pop().unwrap_or_default();
-                img.write_bytes(&mut buf);
-                let out = S::decode(&buf);
-                self.put_spare(buf);
-                out
-            }
-        }
+        (*found == id).then_some(stored)
     }
 
     /// Returns a stored entry's backing bytes to the reuse pools.
@@ -403,11 +427,22 @@ mod tests {
         let mut cp = Checkpointer::new(strategy);
         let mut t = Table::new(10_000);
         let a = cp.checkpoint(&t);
+        let a_bytes = {
+            let mut b = Vec::new();
+            t.encode(&mut b);
+            b
+        };
         t.poke(5, 99);
         let b = cp.checkpoint(&t);
         assert_eq!(cp.restore(a).unwrap().cells[5], 5);
         assert_eq!(cp.restore(b).unwrap().cells[5], 99);
         assert_eq!(cp.len(), 2);
+        // The raw bytes are the encoding, whatever the strategy stored.
+        let mut buf = vec![7u8; 3];
+        assert!(cp.restore_bytes(a, &mut buf));
+        assert_eq!(buf, a_bytes);
+        assert!(!cp.restore_bytes(CheckpointId(99), &mut buf));
+        assert_eq!(cp.stats().restores, 4, "byte restores count as restores");
     }
 
     #[test]

@@ -73,6 +73,16 @@ impl<S: Snapshotable> Timeline<S> {
         Some((pos, self.store.restore(id)?))
     }
 
+    /// Like [`Timeline::restore_at_or_before`], but writes the checkpoint's
+    /// encoded bytes into `buf` (cleared first) instead of decoding them,
+    /// and returns only the position — the restore a caller makes when it
+    /// decodes just the parts of the state that differ from its own.
+    pub fn restore_bytes_at_or_before(&mut self, position: u64, buf: &mut Vec<u8>) -> Option<u64> {
+        let at = self.index.partition_point(|&(p, _)| p <= position);
+        let &(pos, id) = self.index.get(at.checked_sub(1)?)?;
+        self.store.restore_bytes(id, buf).then_some(pos)
+    }
+
     /// The position of the checkpoint nearest at-or-before `position`,
     /// without restoring it — the cheap peek a replay farm uses to decide
     /// whether seeding from a checkpoint beats running forward from where
@@ -162,6 +172,22 @@ mod tests {
             assert_eq!(t.restore_at_or_before(30), Some((30, Word(30))));
             assert_eq!(t.restore_at_or_before(0), Some((0, Word(0))));
             assert_eq!(t.restore_at_or_before(1_000), Some((70, Word(70))));
+        }
+    }
+
+    #[test]
+    fn byte_restores_pick_the_same_checkpoint() {
+        for strategy in [Strategy::CloneState, Strategy::Fork, Strategy::MemIntercept] {
+            let mut t = filled(strategy, 64, 10, 8);
+            let mut buf = Vec::new();
+            for q in [0, 35, 30, 1_000] {
+                let (pos, word) = t.restore_at_or_before(q).expect("retained");
+                assert_eq!(t.restore_bytes_at_or_before(q, &mut buf), Some(pos));
+                assert_eq!(Word::decode(&buf), Some(word));
+            }
+            let mut t5 = Timeline::new(strategy, RetentionPolicy::default());
+            t5.record(5, &Word(5));
+            assert_eq!(t5.restore_bytes_at_or_before(4, &mut buf), None);
         }
     }
 

@@ -12,11 +12,17 @@
 //! [`Debugger::goto`]. The engine takes a whole-network checkpoint
 //! ([`crate::ls::LsImage`], stored page-diffed in a
 //! [`checkpoint::Timeline`]) every `interval` delivered events; any
-//! backward jump restores the nearest checkpoint at or before the target
+//! backward jump rewinds to the nearest checkpoint at or before the target
 //! and re-executes forward at most `interval` events. Because the lockstep
 //! replay is deterministic (Theorem 1), the re-executed prefix — logs,
 //! state, and transcript — is byte-identical to the original pass, so
 //! rewind cost is O(checkpoint interval), not O(run length).
+//!
+//! Every backward jump goes through one rewind: the timeline hands back the
+//! checkpoint's bytes undecoded, and [`LockstepNet::rewind_from_bytes`]
+//! decodes only the node states whose version differs from the live ones,
+//! keeping the staged wave in place when it is still the same wave — so a
+//! short jump pays for the state that changed, not for the whole network.
 
 use crate::ls::{LockstepNet, LsEvent, LsImage};
 use crate::recorder::CommitRecord;
@@ -88,6 +94,8 @@ struct TimeTravel<P: ControlPlane> {
     /// Events re-executed by the most recent backward jump (bounded by the
     /// retained checkpoint spacing — the O(interval) claim, observable).
     last_rewind_replayed: u64,
+    /// The restored checkpoint's bytes, reused across rewinds.
+    bytes: Vec<u8>,
 }
 
 /// An interactive debugger session.
@@ -299,8 +307,12 @@ where
     ) {
         let mut timeline = Timeline::new(strategy, policy);
         timeline.record(self.delivered, &self.net.capture_image());
-        self.travel =
-            Some(TimeTravel { interval: interval.max(1), timeline, last_rewind_replayed: 0 });
+        self.travel = Some(TimeTravel {
+            interval: interval.max(1),
+            timeline,
+            last_rewind_replayed: 0,
+            bytes: Vec::new(),
+        });
     }
 
     /// Whether reverse execution is available.
@@ -336,6 +348,21 @@ where
         Some(ev)
     }
 
+    /// Rewinds the network to the retained checkpoint nearest at or before
+    /// `position` and returns that checkpoint's position, or `None` when
+    /// nothing that early is retained. The one backward path of every jump.
+    fn rewind_at_or_before(&mut self, position: u64) -> Result<Option<u64>, TimeTravelError> {
+        let t = self.travel.as_mut().ok_or(TimeTravelError::Disabled)?;
+        let Some(at) = t.timeline.restore_bytes_at_or_before(position, &mut t.bytes) else {
+            return Ok(None);
+        };
+        if self.net.rewind_from_bytes(&t.bytes).is_none() {
+            return Ok(None);
+        }
+        self.delivered = at;
+        Ok(Some(at))
+    }
+
     /// Jumps to `target` (an absolute delivered-event position), in either
     /// direction, and returns the position landed on.
     ///
@@ -347,11 +374,7 @@ where
     /// lands at the end.
     pub fn goto(&mut self, target: u64) -> Result<u64, TimeTravelError> {
         if target < self.delivered {
-            let t = self.travel.as_mut().ok_or(TimeTravelError::Disabled)?;
-            let (pos, img) =
-                t.timeline.restore_at_or_before(target).ok_or(TimeTravelError::BeforeHistory)?;
-            self.net.restore_image(img);
-            self.delivered = pos;
+            self.rewind_at_or_before(target)?.ok_or(TimeTravelError::BeforeHistory)?;
             let mut replayed = 0u64;
             while self.delivered < target && self.advance().is_some() {
                 replayed += 1;
@@ -410,20 +433,12 @@ where
                 self.goto(0)?;
                 return Ok(None);
             };
-            let seg = self
-                .travel
-                .as_mut()
-                .expect("checked above")
-                .timeline
-                .restore_at_or_before(before);
-            let Some((seg_start, img)) = seg else {
+            let Some(seg_start) = self.rewind_at_or_before(before)? else {
                 // Everything at or below `upper` is out of retained
                 // history; stay where the scan left us (== `upper`).
                 self.goto(upper)?;
                 return Ok(None);
             };
-            self.net.restore_image(img);
-            self.delivered = seg_start;
             self.reprime_watches();
             // Scan positions (seg_start, upper], recording the *last* hit
             // strictly before the origin.

@@ -33,6 +33,7 @@ use netsim::NodeId;
 use routing::enc::{put_u32, put_u64, put_u8, Reader};
 use routing::ControlPlane;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use topology::Graph;
 
 // The response-time model of Fig. 6c / 8c ([`LockstepNet::step_times`]).
@@ -48,6 +49,22 @@ const COORDINATOR: NodeId = NodeId(0);
 /// The deliveries staged for one lockstep sub-cycle.
 type Wave<P> = Vec<Pending<<P as ControlPlane>::Msg, <P as ControlPlane>::Ext>>;
 
+/// The process-wide source of state versions. Each number is handed out
+/// once, so two equal versions name the same state — whichever net, image
+/// or restore they are read from.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+/// Hands out `n` fresh versions and returns the first.
+fn fresh_versions(n: usize) -> u64 {
+    // Relaxed: the counter publishes no other data, and `fetch_add` alone
+    // makes every number unique.
+    NEXT_VERSION.fetch_add(n as u64, Ordering::Relaxed)
+}
+
+fn fresh_version() -> u64 {
+    fresh_versions(1)
+}
+
 /// One delivered event, as reported to the debugger.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LsEvent {
@@ -62,6 +79,13 @@ pub struct LsEvent {
 }
 
 /// The lockstep debugging network.
+///
+/// Every node state and the staged wave carry a *version*: a fresh number
+/// (from one process-wide counter, never reused) whenever they may change
+/// — each delivery to a node, each [`LockstepNet::control_plane_mut`],
+/// each newly staged wave. An [`LsImage`] records the versions it was
+/// captured at, so [`LockstepNet::rewind_from_bytes`] decodes only what
+/// differs from the live replay.
 pub struct LockstepNet<P: ControlPlane> {
     /// The configuration, delay estimates and annotation recipes — the same
     /// struct the production shims run under.
@@ -86,6 +110,11 @@ pub struct LockstepNet<P: ControlPlane> {
     queue_pos: usize,
     next_wave: Wave<P>,
     holdover: BTreeMap<u64, Wave<P>>,
+    /// Version of `queue`. Between two `stage_wave` calls the queue is
+    /// fixed and `next_wave` and every `holdover` entry only grow, so an
+    /// image with this version differs from the live waves only by
+    /// `queue_pos` and by those lengths.
+    wave_version: u64,
     step_times: Vec<(u64, f64)>,
     done: bool,
     /// How staged waves execute: serial sweep (`ShardedWaves::new(1)`, the
@@ -115,7 +144,11 @@ impl<P: ControlPlane> LockstepNet<P> {
             .map(|m| (m.node, m.allowed.iter().map(|k| k.identity()).collect()))
             .collect();
         let nodes = (0..n)
-            .map(|i| LsNode { snap: NodeSnapshot::new(spawn(NodeId(i as u32))), send_count: 0 })
+            .map(|i| LsNode {
+                snap: NodeSnapshot::new(spawn(NodeId(i as u32))),
+                send_count: 0,
+                version: fresh_version(),
+            })
             .collect();
         LockstepNet {
             shared: RbShared::new(graph, cfg),
@@ -131,6 +164,7 @@ impl<P: ControlPlane> LockstepNet<P> {
             queue_pos: 0,
             next_wave: Vec::new(),
             holdover: BTreeMap::new(),
+            wave_version: fresh_version(),
             step_times: Vec::new(),
             done: false,
             engine: ShardedWaves::new(1),
@@ -190,7 +224,9 @@ impl<P: ControlPlane> LockstepNet<P> {
     /// Mutable control-plane access — the debugger's "manipulate state" /
     /// patch-in-place hook (§2.1).
     pub fn control_plane_mut(&mut self, node: NodeId) -> &mut P {
-        &mut self.nodes[node.index()].snap.cp
+        let node = &mut self.nodes[node.index()];
+        node.version = fresh_version();
+        &mut node.snap.cp
     }
 
     /// Delivers exactly one event, advancing phases and groups as needed.
@@ -232,6 +268,7 @@ impl<P: ControlPlane> LockstepNet<P> {
                 continue;
             }
             let idx = p.to.index();
+            self.nodes[idx].version = fresh_version();
             let mut emitted = Vec::new();
             let ev = ctx.deliver(&mut self.nodes[idx], &mut self.logs[idx], p, &mut emitted);
             obs::counter!("ls.delivered").add(1);
@@ -263,6 +300,10 @@ impl<P: ControlPlane> LockstepNet<P> {
         let out = {
             let _wave = obs::span!("ls.wave");
             let wave = &self.queue[self.queue_pos..];
+            let first = fresh_versions(wave.len());
+            for (p, version) in wave.iter().zip(first..) {
+                self.nodes[p.to.index()].version = version;
+            }
             self.engine.execute(&ctx, &mut self.nodes, &mut self.logs, wave)
         };
         obs::counter!("ls.waves").add(1);
@@ -381,6 +422,7 @@ impl<P: ControlPlane> LockstepNet<P> {
         );
         self.queue = wave;
         self.queue_pos = 0;
+        self.wave_version = fresh_version();
     }
 
     fn record_step_time(&mut self) {
@@ -414,9 +456,10 @@ impl<P: ControlPlane> LockstepNet<P> {
 
     /// Captures a full image of the replayer's mutable state — node
     /// snapshots, send counters, the staged delivery queues (including
-    /// in-flight chain-overflow messages), and phase markers. Restoring
-    /// the image and re-stepping reproduces the original execution byte
-    /// for byte (Theorem 1 applied twice).
+    /// in-flight chain-overflow messages), phase markers, and the versions
+    /// of the node states and of the staged wave. Restoring the image and
+    /// re-stepping reproduces the original execution byte for byte
+    /// (Theorem 1 applied twice).
     ///
     /// The committed logs and step-time samples are append-only and fully
     /// determined by replay position, so the image records only their
@@ -425,16 +468,19 @@ impl<P: ControlPlane> LockstepNet<P> {
     /// (and therefore flat rewind latency) affordable.
     pub fn capture_image(&self) -> LsImage<P> {
         LsImage {
-            nodes: self.nodes.iter().map(|n| (n.snap.clone(), n.send_count)).collect(),
+            nodes: self.nodes.clone(),
             log_lens: self.logs.iter().map(Vec::len).collect(),
-            group: self.group,
-            chain: self.chain,
+            phase: Phase {
+                group: self.group,
+                chain: self.chain,
+                queue_pos: self.queue_pos,
+                step_times_len: self.step_times.len(),
+                done: self.done,
+            },
+            wave_version: self.wave_version,
             queue: self.queue.clone(),
-            queue_pos: self.queue_pos,
             next_wave: self.next_wave.clone(),
             holdover: self.holdover.clone(),
-            step_times_len: self.step_times.len(),
-            done: self.done,
         }
     }
 
@@ -451,24 +497,13 @@ impl<P: ControlPlane> LockstepNet<P> {
     /// captured lengths).
     pub fn restore_image(&mut self, img: LsImage<P>) {
         assert_eq!(img.nodes.len(), self.nodes.len(), "image is for a different network");
-        self.nodes = img
-            .nodes
-            .into_iter()
-            .map(|(snap, send_count)| LsNode { snap, send_count })
-            .collect();
         for (log, &len) in self.logs.iter_mut().zip(&img.log_lens) {
             assert!(log.len() >= len, "image is ahead of this replay; cannot rewind to it");
             log.truncate(len);
         }
-        self.group = img.group;
-        self.chain = img.chain;
-        self.queue = img.queue;
-        self.queue_pos = img.queue_pos;
-        self.next_wave = img.next_wave;
-        self.holdover = img.holdover;
-        assert!(self.step_times.len() >= img.step_times_len, "image is ahead of this replay");
-        self.step_times.truncate(img.step_times_len);
-        self.done = img.done;
+        assert!(self.step_times.len() >= img.phase.step_times_len, "image is ahead of this replay");
+        self.step_times.truncate(img.phase.step_times_len);
+        self.install(img);
     }
 
     /// Extends `history` with whatever this replay has committed beyond it.
@@ -508,31 +543,147 @@ impl<P: ControlPlane> LockstepNet<P> {
     pub fn restore_image_seeded(&mut self, img: LsImage<P>, history: &LsHistory) {
         assert_eq!(img.nodes.len(), self.nodes.len(), "image is for a different network");
         assert_eq!(history.logs.len(), self.nodes.len(), "history is for a different network");
-        self.nodes = img
-            .nodes
-            .into_iter()
-            .map(|(snap, send_count)| LsNode { snap, send_count })
-            .collect();
         for ((log, hist), &len) in self.logs.iter_mut().zip(&history.logs).zip(&img.log_lens) {
             assert!(hist.len() >= len, "history does not cover the image");
             log.clear();
             log.extend_from_slice(&hist[..len]);
         }
-        assert!(
-            history.step_times.len() >= img.step_times_len,
-            "history does not cover the image"
-        );
+        let steps = img.phase.step_times_len;
+        assert!(history.step_times.len() >= steps, "history does not cover the image");
         self.step_times.clear();
-        self.step_times.extend_from_slice(&history.step_times[..img.step_times_len]);
-        self.group = img.group;
-        self.chain = img.chain;
-        self.queue = img.queue;
-        self.queue_pos = img.queue_pos;
-        self.next_wave = img.next_wave;
-        self.holdover = img.holdover;
-        self.done = img.done;
+        self.step_times.extend_from_slice(&history.step_times[..steps]);
+        self.install(img);
     }
 
+    /// Adopts an image's node states, waves, phase markers and versions
+    /// (the logs and step times are the caller's).
+    fn install(&mut self, img: LsImage<P>) {
+        self.nodes = img.nodes;
+        self.set_phase(img.phase);
+        self.wave_version = img.wave_version;
+        self.queue = img.queue;
+        self.next_wave = img.next_wave;
+        self.holdover = img.holdover;
+    }
+
+    fn set_phase(&mut self, phase: Phase) {
+        self.group = phase.group;
+        self.chain = phase.chain;
+        self.queue_pos = phase.queue_pos;
+        self.done = phase.done;
+    }
+}
+
+impl<P> LockstepNet<P>
+where
+    P: ControlPlane,
+    P::Msg: Wire,
+    P::Ext: Wire,
+{
+    /// Rewinds in place to the image encoded in `bytes`
+    /// ([`Snapshotable::encode`]), landing exactly where
+    /// [`LockstepNet::restore_image`] of the decoded image lands, but
+    /// paying only for what differs:
+    ///
+    /// * a node segment is decoded only when the image's version of that
+    ///   node differs from the live one (or the live state is not
+    ///   [`Snapshotable::is_canonical`]); an equal version is the same
+    ///   state;
+    /// * when the image's wave version is the live one and the live
+    ///   `next_wave` and holdover are at least the image's lengths, the
+    ///   waves are rewound by resetting `queue_pos` and truncating those
+    ///   append-only lists; otherwise they are decoded;
+    /// * logs and step times are truncated, as `restore_image` does.
+    ///
+    /// Returns what the rewind decoded, or `None`, leaving the replay
+    /// untouched, when the bytes do not parse as an image of this network
+    /// or the replay is behind the image.
+    pub fn rewind_from_bytes(&mut self, bytes: &[u8]) -> Option<Rewound> {
+        let _span = obs::span!("ls.rewind");
+        let mut r = Reader::new(bytes);
+        let h = ImageHeader::read(&mut r)?;
+        if h.versions.len() != self.nodes.len()
+            || self.logs.iter().zip(&h.log_lens).any(|(log, &len)| log.len() < len)
+            || self.step_times.len() < h.phase.step_times_len
+        {
+            return None;
+        }
+        // Parse and decode everything first: a malformed image must leave
+        // the replay as it was.
+        let mut decoded = Vec::new();
+        let mut decoded_bytes = 0;
+        for (i, (live, &version)) in self.nodes.iter().zip(&h.versions).enumerate() {
+            let seg = segment(&mut r)?;
+            if live.version != version || !live.snap.is_canonical() {
+                decoded.push((i, decode_node::<P>(seg, version)?));
+                decoded_bytes += seg.len();
+            }
+        }
+        let frames = wave_frames(&mut r, &h)?;
+        if r.remaining() != 0 {
+            return None;
+        }
+        let waves = if self.keeps_wave(&h) {
+            None
+        } else {
+            decoded_bytes += frames.iter().map(|f| f.len()).sum::<usize>();
+            Some(decode_waves::<P>(&frames, &h)?)
+        };
+
+        let rewound = Rewound { nodes_decoded: decoded.len(), wave_kept: waves.is_none() };
+        obs::counter!("ls.rewind.nodes_decoded").add(rewound.nodes_decoded as u64);
+        obs::counter!("wire.bytes_decoded").add(decoded_bytes as u64);
+        for (i, node) in decoded {
+            self.nodes[i] = node;
+        }
+        for (log, &len) in self.logs.iter_mut().zip(&h.log_lens) {
+            log.truncate(len);
+        }
+        self.step_times.truncate(h.phase.step_times_len);
+        self.set_phase(h.phase);
+        match waves {
+            Some((queue, next_wave, holdover)) => {
+                self.queue = queue;
+                self.next_wave = next_wave;
+                self.holdover = holdover;
+            }
+            None => {
+                obs::counter!("ls.rewind.wave_kept").add(1);
+                self.next_wave.truncate(h.next_wave_len);
+                let lens = &h.holdover_lens;
+                self.holdover.retain(|g, wave| match lens.binary_search_by_key(g, |&(g, _)| g) {
+                    Ok(k) => {
+                        wave.truncate(lens[k].1);
+                        true
+                    }
+                    Err(_) => false,
+                });
+            }
+        }
+        self.wave_version = h.wave_version;
+        Some(rewound)
+    }
+
+    /// Whether the live waves are the image's plus appended entries: the
+    /// same staged wave (same version), and every append-only list at
+    /// least as long as the image's.
+    fn keeps_wave(&self, h: &ImageHeader) -> bool {
+        h.wave_version == self.wave_version
+            && h.phase.queue_pos <= self.queue.len()
+            && h.next_wave_len <= self.next_wave.len()
+            && h.holdover_lens
+                .iter()
+                .all(|&(g, len)| self.holdover.get(&g).is_some_and(|w| w.len() >= len))
+    }
+}
+
+/// What one [`LockstepNet::rewind_from_bytes`] decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rewound {
+    /// Node segments decoded (the rest were kept in place).
+    pub nodes_decoded: usize,
+    /// Whether the staged waves were kept and truncated instead of decoded.
+    pub wave_kept: bool,
 }
 
 /// Routes the messages a wave emitted: same-group sends join the next
@@ -587,7 +738,8 @@ impl LsHistory {
 
 /// A whole-network checkpoint of a [`LockstepNet`]: every node's composite
 /// snapshot plus the replayer's own delivery state (append-only histories
-/// are stored as lengths — see [`LockstepNet::capture_image`]).
+/// are stored as lengths — see [`LockstepNet::capture_image`]), and the
+/// versions of the node states and of the staged wave.
 ///
 /// Created by [`LockstepNet::capture_image`] and consumed by
 /// [`LockstepNet::restore_image`]. When the message and external payload
@@ -596,34 +748,152 @@ impl LsHistory {
 /// under any strategy — with `MemIntercept`, retained images share every
 /// unchanged 4 KiB page, which is what makes a dense reverse-execution
 /// checkpoint cadence affordable.
+///
+/// The encoding is laid out for [`LockstepNet::rewind_from_bytes`], which
+/// reads the bytes without decoding all of them:
+///
+/// 1. a header — node count; each node's version and log length; the wave
+///    version; group, chain, queue position, step-time count and done
+///    flag; the `next_wave` length; each holdover group and its length;
+/// 2. one segment per node, length-prefixed: its snapshot and send count;
+/// 3. the waves, each a length-prefixed segment led by its own count
+///    (which must agree with the header): the queue, `next_wave`, then
+///    each holdover wave in group order.
+///
+/// Versions are numbers of this process, so the encoding is an in-memory
+/// format: it is never written to a recording or store.
+#[derive(Clone)]
 pub struct LsImage<P: ControlPlane> {
-    nodes: Vec<(NodeSnapshot<P>, u64)>,
+    nodes: Vec<LsNode<P>>,
     log_lens: Vec<usize>,
-    group: u64,
-    chain: u32,
+    phase: Phase,
+    wave_version: u64,
     queue: Wave<P>,
-    queue_pos: usize,
     next_wave: Wave<P>,
     holdover: BTreeMap<u64, Wave<P>>,
+}
+
+/// Where an image's replay stood: the scalar phase markers.
+#[derive(Clone, Copy)]
+struct Phase {
+    group: u64,
+    chain: u32,
+    queue_pos: usize,
     step_times_len: usize,
     done: bool,
 }
 
-impl<P: ControlPlane> Clone for LsImage<P> {
-    fn clone(&self) -> Self {
-        LsImage {
-            nodes: self.nodes.clone(),
-            log_lens: self.log_lens.clone(),
-            group: self.group,
-            chain: self.chain,
-            queue: self.queue.clone(),
-            queue_pos: self.queue_pos,
-            next_wave: self.next_wave.clone(),
-            holdover: self.holdover.clone(),
-            step_times_len: self.step_times_len,
-            done: self.done,
+/// The header of an encoded [`LsImage`]: everything but the node segments
+/// and the waves.
+struct ImageHeader {
+    versions: Vec<u64>,
+    log_lens: Vec<usize>,
+    wave_version: u64,
+    phase: Phase,
+    next_wave_len: usize,
+    /// `(group, length)` per holdover wave, groups strictly increasing.
+    holdover_lens: Vec<(u64, usize)>,
+}
+
+impl ImageHeader {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.len()?;
+        let mut versions = Vec::with_capacity(n);
+        let mut log_lens = Vec::with_capacity(n);
+        for _ in 0..n {
+            versions.push(r.u64()?);
+            log_lens.push(r.u64()? as usize);
         }
+        let wave_version = r.u64()?;
+        // A position and a count, not element counts of what follows —
+        // `Reader::len`'s remaining-bytes sanity check does not apply.
+        let phase = Phase {
+            group: r.u64()?,
+            chain: r.u32()?,
+            queue_pos: r.u64()? as usize,
+            step_times_len: r.u64()? as usize,
+            done: r.boolean()?,
+        };
+        let next_wave_len = r.len()?;
+        let n_hold = r.len()?;
+        let mut holdover_lens: Vec<(u64, usize)> = Vec::with_capacity(n_hold);
+        for _ in 0..n_hold {
+            let g = r.u64()?;
+            if holdover_lens.last().is_some_and(|&(prev, _)| prev >= g) {
+                return None;
+            }
+            holdover_lens.push((g, r.len()?));
+        }
+        Some(ImageHeader { versions, log_lens, wave_version, phase, next_wave_len, holdover_lens })
     }
+}
+
+/// Appends one length-prefixed segment holding what `write` appends.
+fn put_segment(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_u64(buf, 0);
+    write(buf);
+    let len = (buf.len() - at - 8) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Reads one length-prefixed segment.
+fn segment<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let n = r.len()?;
+    r.bytes(n)
+}
+
+/// Splits the waves section into its segments — queue, `next_wave`, the
+/// holdover waves — checking each one's leading count against the header
+/// without decoding it.
+fn wave_frames<'a>(r: &mut Reader<'a>, h: &ImageHeader) -> Option<Vec<&'a [u8]>> {
+    let lens = h.holdover_lens.iter().map(|&(_, len)| Some(len));
+    [None, Some(h.next_wave_len)]
+        .into_iter()
+        .chain(lens)
+        .map(|want| {
+            let frame = segment(r)?;
+            let count = Reader::new(frame).u64()?;
+            want.is_none_or(|len| len as u64 == count).then_some(frame)
+        })
+        .collect()
+}
+
+/// Decodes one node segment, which must be consumed exactly.
+fn decode_node<P: ControlPlane>(seg: &[u8], version: u64) -> Option<LsNode<P>> {
+    let mut r = Reader::new(seg);
+    let snap = NodeSnapshot::decode_from(&mut r)?;
+    let send_count = r.u64()?;
+    (r.remaining() == 0).then_some(LsNode { snap, send_count, version })
+}
+
+/// An image's queue, `next_wave` and holdover.
+type Waves<P> = (Wave<P>, Wave<P>, BTreeMap<u64, Wave<P>>);
+
+/// Decodes the [`wave_frames`] of an image with header `h`.
+fn decode_waves<P>(frames: &[&[u8]], h: &ImageHeader) -> Option<Waves<P>>
+where
+    P: ControlPlane,
+    P::Msg: Wire,
+    P::Ext: Wire,
+{
+    let decode = |frame: &[u8]| {
+        let mut r = Reader::new(frame);
+        let wave = decode_wave(&mut r)?;
+        (r.remaining() == 0).then_some(wave)
+    };
+    let queue = decode(frames[0])?;
+    if h.phase.queue_pos > queue.len() {
+        return None;
+    }
+    let next_wave = decode(frames[1])?;
+    let holdover = h
+        .holdover_lens
+        .iter()
+        .zip(&frames[2..])
+        .map(|(&(g, _), frame)| Some((g, decode(frame)?)))
+        .collect::<Option<_>>()?;
+    Some((queue, next_wave, holdover))
 }
 
 fn encode_pending<M: Wire, X: Wire>(p: &Pending<M, X>, buf: &mut Vec<u8>) {
@@ -682,69 +952,54 @@ where
     fn encode(&self, buf: &mut Vec<u8>) {
         let start = buf.len();
         put_u64(buf, self.nodes.len() as u64);
-        for (snap, send_count) in &self.nodes {
-            snap.encode(buf);
-            put_u64(buf, *send_count);
-        }
-        for &len in &self.log_lens {
+        for (node, &len) in self.nodes.iter().zip(&self.log_lens) {
+            put_u64(buf, node.version);
             put_u64(buf, len as u64);
         }
-        put_u64(buf, self.group);
-        put_u32(buf, self.chain);
-        encode_wave(&self.queue, buf);
-        put_u64(buf, self.queue_pos as u64);
-        encode_wave(&self.next_wave, buf);
+        put_u64(buf, self.wave_version);
+        let p = self.phase;
+        put_u64(buf, p.group);
+        put_u32(buf, p.chain);
+        put_u64(buf, p.queue_pos as u64);
+        put_u64(buf, p.step_times_len as u64);
+        put_u8(buf, p.done as u8);
+        put_u64(buf, self.next_wave.len() as u64);
         put_u64(buf, self.holdover.len() as u64);
-        for (group, wave) in &self.holdover {
-            put_u64(buf, *group);
-            encode_wave(wave, buf);
+        for (&group, wave) in &self.holdover {
+            put_u64(buf, group);
+            put_u64(buf, wave.len() as u64);
         }
-        put_u64(buf, self.step_times_len as u64);
-        put_u8(buf, self.done as u8);
+        for node in &self.nodes {
+            put_segment(buf, |buf| {
+                node.snap.encode(buf);
+                put_u64(buf, node.send_count);
+            });
+        }
+        let waves = [&self.queue, &self.next_wave].into_iter().chain(self.holdover.values());
+        for wave in waves {
+            put_segment(buf, |buf| encode_wave(wave, buf));
+        }
         obs::counter!("wire.bytes_encoded").add((buf.len() - start) as u64);
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let start = r.remaining();
-        let n_nodes = r.len()?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            nodes.push((NodeSnapshot::<P>::decode_from(r)?, r.u64()?));
-        }
-        let mut log_lens = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            log_lens.push(r.u64()? as usize);
-        }
-        let group = r.u64()?;
-        let chain = r.u32()?;
-        let queue = decode_wave(r)?;
-        // A position, not an element count — `Reader::len`'s remaining-bytes
-        // sanity check does not apply.
-        let queue_pos = r.u64()? as usize;
-        if queue_pos > queue.len() {
-            return None;
-        }
-        let next_wave = decode_wave(r)?;
-        let n_hold = r.len()?;
-        let mut holdover = BTreeMap::new();
-        for _ in 0..n_hold {
-            let g = r.u64()?;
-            holdover.insert(g, decode_wave(r)?);
-        }
-        let step_times_len = r.u64()? as usize;
-        let done = r.u8()? != 0;
+        let h = ImageHeader::read(r)?;
+        let nodes = h
+            .versions
+            .iter()
+            .map(|&version| decode_node(segment(r)?, version))
+            .collect::<Option<Vec<_>>>()?;
+        let (queue, next_wave, holdover) = decode_waves::<P>(&wave_frames(r, &h)?, &h)?;
         obs::counter!("wire.bytes_decoded").add((start - r.remaining()) as u64);
         Some(LsImage {
             nodes,
-            log_lens,
-            group,
-            chain,
+            log_lens: h.log_lens,
+            phase: h.phase,
+            wave_version: h.wave_version,
             queue,
-            queue_pos,
             next_wave,
             holdover,
-            step_times_len,
-            done,
         })
     }
 }
@@ -905,8 +1160,154 @@ mod tests {
         ls.restore_image(back);
         ls.run_to_end();
         assert_eq!(ls.logs(), &direct[..]);
-        // Corrupt input fails cleanly.
-        assert!(<LsImage<OspfProcess> as Snapshotable>::decode(&buf[..buf.len() / 2]).is_none());
+    }
+
+    fn encoded(img: &LsImage<OspfProcess>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        img.encode(&mut buf);
+        buf
+    }
+
+    /// A ring-4 OSPF replay whose causal-chain bound of 2 sends
+    /// chain-overflow messages to the holdover.
+    fn overflowing_ls() -> LockstepNet<OspfProcess> {
+        let g = canonical::ring(4, SimDuration::from_millis(4));
+        let cfg = DefinedConfig { chain_bound: 2, ..DefinedConfig::default() };
+        let f = OspfProcess::for_graph(&g, OspfConfig::stress(4));
+        let spawn: Vec<OspfProcess> = (0..4).map(|i| f(netsim::NodeId(i))).collect();
+        let spawn2 = spawn.clone();
+        let mut net = RbNetwork::new(&g, cfg.clone(), 9, 0.4, move |id| spawn[id.index()].clone());
+        net.run_until(SimTime::from_secs(3));
+        let (rec, _) = net.into_recording();
+        LockstepNet::new(&g, cfg, rec, move |id| spawn2[id.index()].clone())
+    }
+
+    /// A replay stepped to the first position where `want` holds, the
+    /// bytes of its image there, and a twin replay of the same recording
+    /// run to its end. The stepped replay still holds every version the
+    /// image names, so a rewind of it keeps the waves; the twin holds none
+    /// of them, so a rewind of it decodes everything.
+    fn image_and_targets(
+        want: impl Fn(&LockstepNet<OspfProcess>) -> bool,
+    ) -> (Vec<u8>, [LockstepNet<OspfProcess>; 2]) {
+        let mut ls = overflowing_ls();
+        while !want(&ls) {
+            ls.step_event().expect("the replay reaches a wanted position");
+        }
+        let bytes = encoded(&ls.capture_image());
+        let mut twin = overflowing_ls();
+        twin.run_to_end();
+        (bytes, [ls, twin])
+    }
+
+    /// Asserts that the image decoder and a rewind of every target refuse
+    /// `bytes`, and that a refused rewind leaves its replay as it was.
+    fn assert_refused(bytes: &[u8], targets: &mut [LockstepNet<OspfProcess>], what: &str) {
+        assert!(<LsImage<OspfProcess> as Snapshotable>::decode(bytes).is_none(), "decoded {what}");
+        for (k, net) in targets.iter_mut().enumerate() {
+            let before = encoded(&net.capture_image());
+            assert!(net.rewind_from_bytes(bytes).is_none(), "target {k} rewound to {what}");
+            assert_eq!(encoded(&net.capture_image()), before, "target {k} changed by {what}");
+        }
+    }
+
+    /// A rewind from bytes lands where a restore of the decoded image
+    /// does, keeping the waves on the replay the image came from and
+    /// decoding them on a twin.
+    #[test]
+    fn rewind_from_bytes_matches_a_full_restore() {
+        // Mid-wave, with messages already emitted into the next wave.
+        let (bytes, [mut ls, mut twin]) =
+            image_and_targets(|ls| ls.queue_pos < ls.queue.len() && !ls.next_wave.is_empty());
+        let mut restored = overflowing_ls();
+        restored.run_to_end();
+        restored.restore_image(Snapshotable::decode(&bytes).expect("decodes"));
+        let want = encoded(&restored.capture_image());
+        // At the image and one event past it the staged wave is the
+        // image's: kept, not decoded.
+        for steps in [0, 1] {
+            for _ in 0..steps {
+                ls.step_event().expect("events");
+            }
+            let rewound = ls.rewind_from_bytes(&bytes).expect("rewinds");
+            assert!(rewound.wave_kept, "{steps} step(s) on: {rewound:?}");
+            assert_eq!(encoded(&ls.capture_image()), want);
+        }
+        ls.run_to_group_start(ls.current_group() + 2);
+        let rewound = ls.rewind_from_bytes(&bytes).expect("rewinds");
+        assert!(!rewound.wave_kept, "a later group's wave is a different wave");
+        assert_eq!(encoded(&ls.capture_image()), want);
+        let rewound = twin.rewind_from_bytes(&bytes).expect("rewinds");
+        assert_eq!(rewound, Rewound { nodes_decoded: 4, wave_kept: false });
+        assert_eq!(encoded(&twin.capture_image()), want);
+        let tail = |mut net: LockstepNet<OspfProcess>| {
+            net.run_to_end();
+            net.logs().to_vec()
+        };
+        let expect = tail(restored);
+        assert_eq!(tail(ls), expect);
+        assert_eq!(tail(twin), expect);
+    }
+
+    /// No malformed image decodes or rewinds, and none panics: a cut at
+    /// every byte, a wrong node-segment length prefix, and a header whose
+    /// `next_wave` or holdover length disagrees with the encoded wave.
+    #[test]
+    fn malformed_images_are_refused() {
+        // One image with a staged next wave, one with holdover waves.
+        let with_next_wave = |ls: &LockstepNet<OspfProcess>| !ls.next_wave.is_empty();
+        let with_holdover = |ls: &LockstepNet<OspfProcess>| !ls.holdover.is_empty();
+        let (bytes, mut targets) = image_and_targets(with_next_wave);
+        check_refusals(&bytes, &mut targets, false);
+        let (bytes, mut targets) = image_and_targets(with_holdover);
+        check_refusals(&bytes, &mut targets, true);
+    }
+
+    fn check_refusals(bytes: &[u8], targets: &mut [LockstepNet<OspfProcess>], holdover: bool) {
+        for cut in 0..bytes.len() {
+            assert_refused(&bytes[..cut], targets, &format!("a cut at byte {cut}"));
+        }
+        // The header: node count, per node version and log length, wave
+        // version, phase (group, chain, queue position, step-time count,
+        // done), `next_wave` length, holdover count, per holdover group and
+        // length; the node segments follow.
+        let n = 4;
+        let next_wave_at = 8 + 16 * n + 8 + 29;
+        let n_hold = u64::from_le_bytes(bytes[next_wave_at + 8..][..8].try_into().unwrap());
+        assert_eq!(n_hold > 0, holdover, "the image has holdover waves");
+        let first_hold_len_at = next_wave_at + 16 + 8;
+        let mut at = next_wave_at + 16 + 16 * n_hold as usize;
+        let mut prefixes = Vec::new();
+        for _ in 0..n {
+            prefixes.push(at);
+            at += 8 + u64::from_le_bytes(bytes[at..][..8].try_into().unwrap()) as usize;
+        }
+        let with = |at: usize, delta: i64| {
+            let mut b = bytes.to_vec();
+            let v = u64::from_le_bytes(b[at..][..8].try_into().unwrap()).wrapping_add_signed(delta);
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        for (node, &at) in prefixes.iter().enumerate() {
+            for delta in [-1, 1, i64::MAX] {
+                let what = format!("node {node}'s segment length {delta:+}");
+                assert_refused(&with(at, delta), targets, &what);
+            }
+        }
+        let mut fields = vec![(next_wave_at, "next_wave")];
+        if holdover {
+            fields.push((first_hold_len_at, "holdover"));
+        }
+        for (at, field) in fields {
+            for delta in [-1, 1] {
+                let what = format!("a header {field} length {delta:+}");
+                assert_refused(&with(at, delta), targets, &what);
+            }
+        }
+        // The unmodified image is accepted by both.
+        for net in targets {
+            assert!(net.rewind_from_bytes(bytes).is_some());
+        }
     }
 
     /// `run_to_group_start` stops exactly on group boundaries: everything

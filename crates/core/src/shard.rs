@@ -58,11 +58,19 @@ pub struct Pending<M, X> {
     pub(crate) ev: Event<M, X>,
 }
 
-/// One replayed node: its composite snapshot plus the committed send
-/// counter recorded losses are keyed by.
+/// One replayed node: its composite snapshot, the committed send counter
+/// recorded losses are keyed by, and the version that names this state
+/// (see [`crate::ls::LockstepNet::rewind_from_bytes`]).
 pub struct LsNode<P: ControlPlane> {
     pub(crate) snap: NodeSnapshot<P>,
     pub(crate) send_count: u64,
+    pub(crate) version: u64,
+}
+
+impl<P: ControlPlane> Clone for LsNode<P> {
+    fn clone(&self) -> Self {
+        LsNode { snap: self.snap.clone(), send_count: self.send_count, version: self.version }
+    }
 }
 
 /// The read-only delivery context one wave executes under: the run's

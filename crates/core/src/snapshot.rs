@@ -181,6 +181,10 @@ impl<P: ControlPlane> Snapshotable for NodeSnapshot<P> {
         self.encode_shim_context(buf);
     }
 
+    fn is_canonical(&self) -> bool {
+        self.cp.is_canonical()
+    }
+
     fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let cp = P::decode_from(r)?;
         let current_group = r.u64()?;

@@ -477,6 +477,12 @@ impl Snapshotable for OspfProcess {
         }
     }
 
+    /// A decoded process holds a computed table; a live one whose table
+    /// awaits SPF does not.
+    fn is_canonical(&self) -> bool {
+        !self.table_dirty.load(Ordering::Acquire)
+    }
+
     fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         let id = NodeId(r.u32()?);
         let cfg = OspfConfig {

@@ -435,14 +435,21 @@ fn verify(args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
     if !defined::store::is_store(&bytes) {
         return Err(format!("{rec_path}: not a recording store (missing DREC magic)").into());
     }
-    let name = match &opts.scenario {
-        Some(name) => name.clone(),
+    let scn = match &opts.scenario {
+        Some(arg) => resolve(arg)?,
         None => {
+            // The store keeps the scenario's name; only a registry entry
+            // can be found by name alone.
             let info = defined::store::scan(&bytes).map_err(|e| format!("{rec_path}: {e}"))?;
-            info.scenario
+            scenario::find(&info.scenario).ok_or_else(|| {
+                format!(
+                    "{rec_path}: recorded from scenario `{}`, which is not in the registry; \
+                     pass its .scn file with --scenario <path>",
+                    info.scenario
+                )
+            })?
         }
     };
-    let scn = resolve(&name)?;
     match scn.verify_store(&bytes, opts.shards()) {
         Ok(report) => {
             print!("{}", report.render());

@@ -314,6 +314,37 @@ fn store_record_verify_and_corruption_detection() {
     let _ = std::fs::remove_file(&script);
 }
 
+/// A store recorded from a `.scn` file names a scenario the registry does
+/// not hold: `verify` without `--scenario` exits 1 and says which file to
+/// pass, and passing it verifies.
+#[test]
+fn verify_of_a_scn_store_names_the_missing_scenario() {
+    let drec = tmp_path("scn-store.drec");
+    let out = defined_dbg()
+        .args(["record", "scenarios/ring-loss.scn", "--out"])
+        .arg(&drec)
+        .output()
+        .expect("spawns");
+    assert_success(&out, "record scenarios/ring-loss.scn --out");
+    let bare = defined_dbg().arg("verify").arg(&drec).output().expect("spawns");
+    assert_eq!(bare.status.code(), Some(1), "verify without --scenario");
+    let stderr = String::from_utf8_lossy(&bare.stderr);
+    assert!(
+        stderr.contains("recorded from scenario `ring-loss`, which is not in the registry")
+            && stderr.contains("--scenario <path>"),
+        "{stderr}"
+    );
+    let named = defined_dbg()
+        .arg("verify")
+        .arg(&drec)
+        .args(["--scenario", "scenarios/ring-loss.scn"])
+        .output()
+        .expect("spawns");
+    assert_success(&named, "verify --scenario scenarios/ring-loss.scn");
+    assert!(String::from_utf8_lossy(&named.stdout).contains("verify ok"));
+    let _ = std::fs::remove_file(&drec);
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     for args in [

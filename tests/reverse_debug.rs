@@ -8,13 +8,20 @@
 //!    step re-executes fewer events than the checkpoint interval.
 //! 3. **Watchpoints fire in both directions**: `rcont` lands on the same
 //!    state change `run` found going forward.
+//! 4. **Rewinding only what changed is a full restore**: the in-place
+//!    rewind a backward jump takes lands on exactly the state a restore of
+//!    the whole decoded image lands on (the optimisation-off oracle).
 
+use defined::checkpoint::Snapshotable;
 use defined::core::debugger::{Debugger, StepGranularity};
+use defined::core::recorder::Recording;
+use defined::core::wire::Wire;
 use defined::core::{DefinedConfig, LockstepNet, RbNetwork};
 use defined::netsim::{NodeId, SimDuration, SimTime};
 use defined::routing::ospf::{OspfConfig, OspfProcess};
-use defined::scenario;
-use defined::topology::canonical;
+use defined::routing::ControlPlane;
+use defined::scenario::{self, ProtocolSpec};
+use defined::topology::{canonical, Graph};
 
 /// Records a scenario and returns a fresh scripted-debug closure over it.
 fn transcript_of(name: &str, script: &str) -> String {
@@ -126,4 +133,141 @@ fn reverse_continue_agrees_with_forward_watch() {
         .debug_transcript_sharded(&run.bytes, "run\nwatch 1\nrcont\nwhere\n", 1)
         .expect("debugs");
     assert!(back.contains("* stopped after"), "{back}");
+}
+
+/// Everything two replays must agree on after a jump: the image encoding
+/// (states, waves, phase, versions), every control plane's `Debug`
+/// rendering (which shows derived parts the encoding recomputes), and the
+/// committed logs.
+fn assert_same_replay<P>(net: &LockstepNet<P>, twin: &LockstepNet<P>, what: &str)
+where
+    P: ControlPlane,
+    P::Msg: Wire,
+    P::Ext: Wire,
+{
+    let encoded = |n: &LockstepNet<P>| {
+        let mut buf = Vec::new();
+        n.capture_image().encode(&mut buf);
+        buf
+    };
+    assert!(encoded(net) == encoded(twin), "{what}: images differ");
+    for i in 0..net.logs().len() {
+        let node = NodeId(i as u32);
+        let (a, b) = (net.control_plane(node), twin.control_plane(node));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: node {i} renders differently");
+    }
+    assert!(net.logs() == twin.logs(), "{what}: logs differ");
+}
+
+/// Drives a replay and its twin through seeded forward steps and whole-wave
+/// runs, capturing an image after each, patching a node between jumps, and
+/// jumping back: to the newest image (usually inside the live wave), to the
+/// image from before a whole-wave run (across a group boundary), or to one
+/// of the last three. The replay rewinds with `rewind_from_bytes`, which
+/// decodes only what changed; the twin restores the whole decoded image.
+/// After every jump the two must be the same replay, and their next 64
+/// events identical; then both jump back to the landing point, which is
+/// checked the same way.
+fn check_rewind_oracle<P>(
+    g: &Graph,
+    rec: Recording<P::Ext>,
+    spawn: impl Fn(NodeId) -> P,
+    what: &str,
+) where
+    P: ControlPlane,
+    P::Msg: Wire,
+    P::Ext: Wire,
+{
+    let cfg = DefinedConfig::default();
+    let mut net = LockstepNet::new(g, cfg.clone(), rec.clone(), &spawn);
+    let mut twin = LockstepNet::new(g, cfg, rec, &spawn);
+    let position = |n: &LockstepNet<P>| n.logs().iter().map(Vec::len).sum::<usize>();
+    let image = |n: &LockstepNet<P>| {
+        let mut buf = Vec::new();
+        n.capture_image().encode(&mut buf);
+        (position(n), buf)
+    };
+    let step_both = |net: &mut LockstepNet<P>, twin: &mut LockstepNet<P>, k: u64| {
+        for _ in 0..k {
+            assert_eq!(net.step_event(), twin.step_event(), "{what}: stepping diverged");
+        }
+    };
+    let (mut kept, mut decoded) = (0, 0);
+    let mut jump = |net: &mut LockstepNet<P>, twin: &mut LockstepNet<P>, bytes: &[u8], at, how| {
+        let rewound = net.rewind_from_bytes(bytes).expect("the replay rewinds to its own image");
+        twin.restore_image(Snapshotable::decode(bytes).expect("the image decodes"));
+        if rewound.wave_kept {
+            kept += 1;
+        } else {
+            decoded += 1;
+        }
+        let how = format!("{what}: {how} to position {at}");
+        assert_eq!(position(net), at, "{how}");
+        assert_same_replay(net, twin, &how);
+    };
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |bound: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % bound
+    };
+    let mut images = vec![image(&net)];
+    for round in 0..48 {
+        if round % 3 == 2 {
+            let group = net.current_group() + 1;
+            assert_eq!(net.run_to_group_start(group), twin.run_to_group_start(group));
+        } else {
+            step_both(&mut net, &mut twin, 1 + draw(64));
+        }
+        images.push(image(&net));
+        if round % 4 == 1 {
+            // Patch a node between jumps: back to its boot state.
+            let node = NodeId(draw(g.node_count() as u64) as u32);
+            *net.control_plane_mut(node) = spawn(node);
+            *twin.control_plane_mut(node) = spawn(node);
+        }
+        step_both(&mut net, &mut twin, draw(3));
+        let target = match round % 3 {
+            0 => images.len() - 1,
+            1 => images.len() - 1 - draw(images.len().min(3) as u64) as usize,
+            _ => images.len() - 2,
+        };
+        let (at, bytes) = images[target].clone();
+        jump(&mut net, &mut twin, &bytes, at, format!("round {round}, jump"));
+        step_both(&mut net, &mut twin, 64);
+        jump(&mut net, &mut twin, &bytes, at, format!("round {round}, jump back"));
+        // Images past the landing point belong to a future a patch may
+        // have rewritten.
+        images.retain(|&(p, _)| p <= at);
+    }
+    assert!(kept > 0, "{what}: no jump kept the staged wave");
+    assert!(decoded > 0, "{what}: no jump decoded the waves");
+}
+
+#[test]
+fn in_place_rewind_matches_a_full_restore_across_protocols() {
+    for name in ["ospf-loss-window", "rip-blackhole", "bgp-med"] {
+        let scn = scenario::find(name).expect("registry scenario");
+        let g = scn.topology.build();
+        let run = scn.record_run().expect("records");
+        match scn.protocol {
+            ProtocolSpec::Ospf => {
+                let procs = scenario::ospf_processes(&g);
+                let rec = Recording::from_bytes(&run.bytes).expect("decodes");
+                check_rewind_oracle(&g, rec, |id| procs[id.index()].clone(), name);
+            }
+            ProtocolSpec::Rip { mode } => {
+                let procs = scenario::rip_processes(&g, mode);
+                let rec = Recording::from_bytes(&run.bytes).expect("decodes");
+                check_rewind_oracle(&g, rec, |id| procs[id.index()].clone(), name);
+            }
+            ProtocolSpec::Bgp { mode } => {
+                let roles = scn.topology.fig4_roles().expect("fig4 topology");
+                let procs = scenario::bgp_fig4_processes(&roles, mode);
+                let rec = Recording::from_bytes(&run.bytes).expect("decodes");
+                check_rewind_oracle(&g, rec, |id| procs[id.index()].clone(), name);
+            }
+        }
+    }
 }
