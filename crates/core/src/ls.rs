@@ -82,8 +82,10 @@ pub struct LsEvent {
 ///
 /// Every node state and the staged wave carry a *version*: a fresh number
 /// (from one process-wide counter, never reused) whenever they may change
-/// — each delivery to a node, each [`LockstepNet::control_plane_mut`],
-/// each newly staged wave. An [`LsImage`] records the versions it was
+/// — each delivery to a node, each newly staged wave, and each
+/// [`LockstepNet::control_plane_mut`], which renews both the node's and the
+/// wave's (the patched node's later sends join the staged waves). An
+/// [`LsImage`] records the versions it was
 /// captured at, so [`LockstepNet::rewind_from_bytes`] decodes only what
 /// differs from the live replay.
 pub struct LockstepNet<P: ControlPlane> {
@@ -110,10 +112,11 @@ pub struct LockstepNet<P: ControlPlane> {
     queue_pos: usize,
     next_wave: Wave<P>,
     holdover: BTreeMap<u64, Wave<P>>,
-    /// Version of `queue`. Between two `stage_wave` calls the queue is
-    /// fixed and `next_wave` and every `holdover` entry only grow, so an
-    /// image with this version differs from the live waves only by
-    /// `queue_pos` and by those lengths.
+    /// Version of the staged waves, fresh on every `stage_wave` and every
+    /// `control_plane_mut`. In between, the queue is fixed, `next_wave` and
+    /// every `holdover` entry only grow, and what they grow by is decided
+    /// by the queue position alone, so an image with this version differs
+    /// from the live waves only by `queue_pos` and by those lengths.
     wave_version: u64,
     step_times: Vec<(u64, f64)>,
     done: bool,
@@ -223,7 +226,13 @@ impl<P: ControlPlane> LockstepNet<P> {
 
     /// Mutable control-plane access — the debugger's "manipulate state" /
     /// patch-in-place hook (§2.1).
+    ///
+    /// Takes a fresh version for the node and for the staged wave: what the
+    /// patched node emits from here on joins `next_wave` and the holdover,
+    /// so an image captured before the patch, further along the same wave,
+    /// is no longer a prefix of the live waves.
     pub fn control_plane_mut(&mut self, node: NodeId) -> &mut P {
+        self.wave_version = fresh_version();
         let node = &mut self.nodes[node.index()];
         node.version = fresh_version();
         &mut node.snap.cp
@@ -678,6 +687,11 @@ where
 }
 
 /// What one [`LockstepNet::rewind_from_bytes`] decoded.
+///
+/// The `ls.rewind.*` counters publish the same numbers, but summed over the
+/// whole process (every replay and every concurrently running test) and not
+/// at all under the `obs-off` feature; this is the per-call account, which
+/// the oracle tests use to show that both wave branches ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rewound {
     /// Node segments decoded (the rest were kept in place).
@@ -1247,6 +1261,43 @@ mod tests {
         let expect = tail(restored);
         assert_eq!(tail(ls), expect);
         assert_eq!(tail(twin), expect);
+    }
+
+    /// A patch renews the wave version. The debugger keeps a checkpoint it
+    /// recorded before a patch, and going forward again does not record
+    /// that position anew, so a rewind can reach an image captured further
+    /// along the live wave *before* the patch. Its waves must be decoded:
+    /// the live `next_wave` and holdover have grown by what the patched
+    /// nodes sent, which is not the image's.
+    #[test]
+    fn a_patch_renews_the_staged_wave() {
+        let boot = overflowing_ls();
+        let mut ls = overflowing_ls();
+        let mut checked = 0;
+        while !ls.done {
+            if ls.queue_pos + 1 >= ls.queue.len() {
+                ls.step_event();
+                continue;
+            }
+            let before = encoded(&ls.capture_image());
+            ls.step_event().expect("the staged wave has events left");
+            let ahead = encoded(&ls.capture_image());
+            let header = |b: &[u8]| ImageHeader::read(&mut Reader::new(b)).expect("header");
+            ls.rewind_from_bytes(&before).expect("rewinds");
+            ls.step_event().expect("the staged wave has events left");
+            assert!(ls.keeps_wave(&header(&ahead)), "unpatched, the waves are the image's");
+            ls.rewind_from_bytes(&before).expect("rewinds");
+            for i in 0..4 {
+                let node = NodeId(i);
+                *ls.control_plane_mut(node) = boot.control_plane(node).clone();
+            }
+            ls.step_event().expect("the staged wave has events left");
+            assert!(!ls.keeps_wave(&header(&ahead)), "a pre-patch image kept the wave");
+            ls.rewind_from_bytes(&ahead).expect("rewinds");
+            assert_eq!(encoded(&ls.capture_image()), ahead, "landed off the image");
+            checked += 1;
+        }
+        assert!(checked > 10, "only {checked} positions checked");
     }
 
     /// No malformed image decodes or rewinds, and none panics: a cut at

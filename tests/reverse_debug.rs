@@ -163,11 +163,14 @@ where
 /// runs, capturing an image after each, patching a node between jumps, and
 /// jumping back: to the newest image (usually inside the live wave), to the
 /// image from before a whole-wave run (across a group boundary), or to one
-/// of the last three. The replay rewinds with `rewind_from_bytes`, which
-/// decodes only what changed; the twin restores the whole decoded image.
-/// After every jump the two must be the same replay, and their next 64
-/// events identical; then both jump back to the landing point, which is
-/// checked the same way.
+/// of the last three. Two rounds in three then record an image a few
+/// events on, jump back, patch every node so that the patch survives, walk
+/// forward again and jump to that image, recorded before the patch: the
+/// rewind must land on it, not splice it onto the patched future. The
+/// replay rewinds with `rewind_from_bytes`, which decodes only what
+/// changed; the twin restores the whole decoded image. After every jump the
+/// two must be the same replay, and their next 64 events identical; then
+/// both jump back to the landing point, which is checked the same way.
 fn check_rewind_oracle<P>(
     g: &Graph,
     rec: Recording<P::Ext>,
@@ -193,8 +196,12 @@ fn check_rewind_oracle<P>(
         }
     };
     let (mut kept, mut decoded) = (0, 0);
+    // Rewinds both nets to `bytes`, or neither when the replay refuses it
+    // (it is behind the image: a full restore would panic).
     let mut jump = |net: &mut LockstepNet<P>, twin: &mut LockstepNet<P>, bytes: &[u8], at, how| {
-        let rewound = net.rewind_from_bytes(bytes).expect("the replay rewinds to its own image");
+        let Some(rewound) = net.rewind_from_bytes(bytes) else {
+            return false;
+        };
         twin.restore_image(Snapshotable::decode(bytes).expect("the image decodes"));
         if rewound.wave_kept {
             kept += 1;
@@ -204,6 +211,7 @@ fn check_rewind_oracle<P>(
         let how = format!("{what}: {how} to position {at}");
         assert_eq!(position(net), at, "{how}");
         assert_same_replay(net, twin, &how);
+        true
     };
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     let mut draw = |bound: u64| {
@@ -212,7 +220,9 @@ fn check_rewind_oracle<P>(
         rng ^= rng << 17;
         rng % bound
     };
+    // Images of the replay's own history, in position order.
     let mut images = vec![image(&net)];
+    let mut stale = 0;
     for round in 0..48 {
         if round % 3 == 2 {
             let group = net.current_group() + 1;
@@ -234,15 +244,55 @@ fn check_rewind_oracle<P>(
             _ => images.len() - 2,
         };
         let (at, bytes) = images[target].clone();
-        jump(&mut net, &mut twin, &bytes, at, format!("round {round}, jump"));
+        let how = format!("round {round}, jump");
+        let landed = jump(&mut net, &mut twin, &bytes, at, how);
+        assert!(landed, "{what}: the replay refused its own image");
         step_both(&mut net, &mut twin, 64);
-        jump(&mut net, &mut twin, &bytes, at, format!("round {round}, jump back"));
+        let how = format!("round {round}, jump back");
+        assert!(jump(&mut net, &mut twin, &bytes, at, how), "{what}: refused");
         // Images past the landing point belong to a future a patch may
         // have rewritten.
         images.retain(|&(p, _)| p <= at);
+        if round % 3 == 0 {
+            continue;
+        }
+        // A patch that survives. A few events on, record an image; jump
+        // back; patch every node to its boot state; walk forward to the
+        // image's position again and jump to it (as `goto` does when it
+        // already holds that position: it is not recorded again). The
+        // rewind must land on that image, not splice it onto the patched
+        // future.
+        step_both(&mut net, &mut twin, 1 + draw(8));
+        let (ahead, stale_bytes) = image(&net);
+        let how = format!("round {round}, jump back before the patch");
+        assert!(jump(&mut net, &mut twin, &bytes, at, how), "{what}: refused");
+        for i in 0..g.node_count() {
+            let node = NodeId(i as u32);
+            *net.control_plane_mut(node) = spawn(node);
+            *twin.control_plane_mut(node) = spawn(node);
+        }
+        while position(&net) < ahead {
+            let ev = net.step_event();
+            assert_eq!(ev, twin.step_event(), "{what}: stepping diverged");
+            if ev.is_none() {
+                break;
+            }
+        }
+        // Across a wave boundary the patched future may have spread the
+        // events over the nodes differently: then the replay is behind the
+        // image and refuses it, as a full restore would.
+        let how = format!("round {round}, stale jump");
+        if position(&net) == ahead && jump(&mut net, &mut twin, &stale_bytes, ahead, how) {
+            stale += 1;
+            step_both(&mut net, &mut twin, 64);
+            let how = format!("round {round}, stale jump back");
+            assert!(jump(&mut net, &mut twin, &stale_bytes, ahead, how), "{what}: refused");
+            images.push((ahead, stale_bytes));
+        }
     }
     assert!(kept > 0, "{what}: no jump kept the staged wave");
     assert!(decoded > 0, "{what}: no jump decoded the waves");
+    assert!(stale > 0, "{what}: no jump landed on an image a patch made stale");
 }
 
 #[test]
